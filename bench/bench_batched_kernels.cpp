@@ -5,10 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "batched/batched_gemm.hpp"
-#include "batched/batched_id.hpp"
-#include "batched/batched_rand.hpp"
-#include "batched/bsr_gemm.hpp"
+#include "batched/device.hpp"
 #include "common/random.hpp"
 
 using namespace h2sketch;
@@ -39,9 +36,11 @@ void BM_BatchedGemm(benchmark::State& state) {
     bv.push_back(bs[static_cast<size_t>(i)].view());
     cv.push_back(cs[static_cast<size_t>(i)].view());
   }
-  batched::ExecutionContext ctx(batched::Backend::Batched);
+  batched::ExecutionContext ctx(backend::LaunchMode::Batched);
   for (auto _ : state) {
-    batched::batched_gemm(ctx, 1.0, av, la::Op::None, bv, la::Op::None, 0.0, cv);
+    ctx.device().gemm(ctx, batched::kSampleStream, 1.0, av, la::Op::None, bv, la::Op::None, 0.0,
+                      cv);
+    ctx.sync(batched::kSampleStream);
     benchmark::DoNotOptimize(cs[0].data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -67,9 +66,10 @@ void BM_BsrGemm(benchmark::State& state) {
   for (auto& b : blocks) blv.push_back(b.view());
   for (auto& x : xs) xv.push_back(x.view());
   for (auto& y : ys) yv.push_back(y.view());
-  batched::ExecutionContext ctx(batched::Backend::Batched);
+  batched::ExecutionContext ctx(backend::LaunchMode::Batched);
   for (auto _ : state) {
-    batched::bsr_gemm(ctx, 1.0, row_ptr, col, blv, xv, yv);
+    ctx.device().bsr_gemm(ctx, batched::kSampleStream, 1.0, row_ptr, col, blv, xv, yv);
+    ctx.sync(batched::kSampleStream);
     benchmark::DoNotOptimize(ys[0].data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<index_t>(col.size()));
@@ -83,9 +83,9 @@ void BM_BatchedRowId(benchmark::State& state) {
   for (index_t i = 0; i < batch; ++i) ys.push_back(random_matrix(48, 32, 3 + i));
   for (auto& y : ys) yv.push_back(y.view());
   std::vector<la::RowID> out(static_cast<size_t>(batch));
-  batched::ExecutionContext ctx(batched::Backend::Batched);
+  batched::ExecutionContext ctx(backend::LaunchMode::Batched);
   for (auto _ : state) {
-    batched::batched_row_id(ctx, yv, 1e-8, -1, out);
+    ctx.device().row_id(ctx, yv, 1e-8, -1, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -96,10 +96,10 @@ void BM_BatchedRand(benchmark::State& state) {
   const index_t n = state.range(0);
   Matrix a(n, 64);
   GaussianStream stream(5);
-  batched::ExecutionContext ctx(batched::Backend::Batched);
+  batched::ExecutionContext ctx(backend::LaunchMode::Batched);
   std::uint64_t offset = 0;
   for (auto _ : state) {
-    batched::batched_fill_gaussian(ctx, a.view(), stream, offset);
+    ctx.device().fill_gaussian(ctx, a.view(), stream, offset);
     offset += static_cast<std::uint64_t>(n) * 64;
     benchmark::DoNotOptimize(a.data());
   }

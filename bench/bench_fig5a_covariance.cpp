@@ -32,13 +32,13 @@ int main(int argc, char** argv) {
     opts.initial_samples = 256; // the paper's fixed budget
     opts.sample_block = 64;
 
-    batched::ExecutionContext ctx_b(batched::Backend::Batched);
+    batched::ExecutionContext ctx_b(backend::LaunchMode::Batched);
     auto res_b = core::construct_h2(w.tree, tree::Admissibility::general(eta), *w.sampler,
                                     *w.entry_gen, opts, ctx_b);
     const real_t err = measure_error(w, res_b.matrix);
 
     w.sampler->reset_sample_count();
-    batched::ExecutionContext ctx_n(batched::Backend::Naive);
+    batched::ExecutionContext ctx_n(backend::LaunchMode::Naive);
     auto res_n = core::construct_h2(w.tree, tree::Admissibility::general(eta), *w.sampler,
                                     *w.entry_gen, opts, ctx_n);
 

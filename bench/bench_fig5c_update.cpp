@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     opts.initial_samples = 256;
     opts.sample_block = 64;
 
-    batched::ExecutionContext ctx_b(batched::Backend::Batched);
+    batched::ExecutionContext ctx_b(backend::LaunchMode::Batched);
     auto res_b =
         core::construct_h2(w.tree, tree::Admissibility::general(eta), sampler, gen, opts, ctx_b);
 
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     const real_t err = core::relative_error_2norm(fresh, approx, 10);
 
     h2::UpdatedH2Sampler sampler_n(w.input, lr);
-    batched::ExecutionContext ctx_n(batched::Backend::Naive);
+    batched::ExecutionContext ctx_n(backend::LaunchMode::Naive);
     auto res_n =
         core::construct_h2(w.tree, tree::Admissibility::general(eta), sampler_n, gen, opts, ctx_n);
 

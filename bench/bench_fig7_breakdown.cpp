@@ -45,14 +45,14 @@ int main(int argc, char** argv) {
   Table table("fig7_breakdown", cols);
   table.print_header();
 
-  for (auto backend : {batched::Backend::Naive, batched::Backend::Batched}) {
+  for (auto mode : {backend::LaunchMode::Naive, backend::LaunchMode::Batched}) {
     for (index_t n : sizes) {
       KernelWorkload w("cov", n, leaf, eta, cheb_q);
       core::ConstructionOptions opts;
       opts.tol = 1e-6;
       opts.initial_samples = 256;
       opts.sample_block = 64;
-      batched::ExecutionContext ctx(backend);
+      batched::ExecutionContext ctx(mode);
       // batchedGen reads from the input H2 representation (consistent with
       // the sampler). The paper's analytic-kernel batchedGen is cheaper per
       // entry, which shifts ~half of our entry_gen slice into the paper's
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       const obs::TraceData trace = obs::stop_trace();
       const std::vector<double> phase_s = phase_seconds_from_trace(trace);
       std::vector<std::string> cells = {
-          backend == batched::Backend::Naive ? "naive(cpu)" : "batched(gpu-model)", fmt(n),
+          mode == backend::LaunchMode::Naive ? "naive(cpu)" : "batched(gpu-model)", fmt(n),
           fmt(res.stats.total_seconds)};
       double total = 0.0;
       for (double s : phase_s) total += s;

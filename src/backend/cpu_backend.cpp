@@ -38,6 +38,10 @@ struct SolveLaunch {
   std::vector<MatrixView> b;
 };
 
+/// Trace label of an op's launches: op_name's views are string literals,
+/// so the data is NUL-terminated and outlives every launch.
+const char* label(OpKind kind) { return op_name(kind).data(); }
+
 } // namespace
 
 void* CpuBackend::do_allocate(std::size_t bytes) {
@@ -73,7 +77,7 @@ void CpuBackend::gemm(batched::ExecutionContext& ctx, batched::StreamId stream, 
         const auto ui = static_cast<size_t>(i);
         if (st->c[ui].empty()) return;
         la::gemm(alpha, st->a[ui], op_a, st->b[ui], op_b, beta, st->c[ui]);
-      });
+      }, label(OpKind::Gemm));
 }
 
 void CpuBackend::gather_rows(batched::ExecutionContext& ctx, batched::StreamId stream,
@@ -95,7 +99,7 @@ void CpuBackend::gather_rows(batched::ExecutionContext& ctx, batched::StreamId s
         const auto ui = static_cast<size_t>(i);
         if (st->dst[ui].empty()) return;
         h2sketch::gather_rows(st->src[ui], st->rows[ui], st->dst[ui]);
-      });
+      }, label(OpKind::GatherRows));
 }
 
 index_t CpuBackend::bsr_gemm(batched::ExecutionContext& ctx, batched::StreamId stream,
@@ -137,7 +141,7 @@ index_t CpuBackend::bsr_gemm(batched::ExecutionContext& ctx, batched::StreamId s
           if (st->y[static_cast<size_t>(r)].empty() || st->blocks[e].empty()) return;
           la::gemm(alpha, st->blocks[e], la::Op::None, st->x[static_cast<size_t>(c)],
                    la::Op::None, 1.0, st->y[static_cast<size_t>(r)]);
-        });
+        }, label(OpKind::BsrGemm));
   }
   return max_per_row;
 }
@@ -148,7 +152,7 @@ void CpuBackend::min_r_diag(batched::ExecutionContext& ctx, std::span<const Cons
   ctx.run_batch(static_cast<index_t>(a.size()), [&](index_t i) {
     const auto ui = static_cast<size_t>(i);
     out[ui] = la::min_abs_r_diag(a[ui]);
-  });
+  }, label(OpKind::MinRDiag));
 }
 
 void CpuBackend::min_r_diag_update(batched::ExecutionContext& ctx,
@@ -181,7 +185,7 @@ void CpuBackend::min_r_diag_update(batched::ExecutionContext& ctx,
         real_t mn = std::abs(v(0, 0));
         for (index_t d = 1; d < kmax; ++d) mn = std::min(mn, std::abs(v(d, d)));
         out[ui] = mn;
-      });
+      }, label(OpKind::MinRDiagUpdate));
   ctx.sync(batched::kSampleStream);
 }
 
@@ -200,7 +204,7 @@ void CpuBackend::row_id(batched::ExecutionContext& ctx, std::span<const ConstMat
       [&](index_t i) {
         const auto ui = static_cast<size_t>(i);
         out[ui] = la::row_id(y[ui], abs_tol, max_rank);
-      });
+      }, label(OpKind::RowId));
   ctx.sync(batched::kSampleStream);
 }
 
@@ -229,7 +233,7 @@ void CpuBackend::fill_gaussian_blocks(batched::ExecutionContext& ctx,
   ctx.run_batch(static_cast<index_t>(blocks.size()), [&](index_t i) {
     const auto u = static_cast<size_t>(i);
     h2sketch::fill_gaussian(blocks[u], stream, offsets[u]);
-  });
+  }, label(OpKind::FillGaussian));
 }
 
 void CpuBackend::transpose(batched::ExecutionContext& ctx, std::span<const ConstMatrixView> in,
@@ -242,7 +246,7 @@ void CpuBackend::transpose(batched::ExecutionContext& ctx, std::span<const Const
     H2S_CHECK(a.rows == b.cols && a.cols == b.rows, "batched_transpose: shape mismatch");
     for (index_t j = 0; j < a.cols; ++j)
       for (index_t i = 0; i < a.rows; ++i) b(j, i) = a(i, j);
-  });
+  }, label(OpKind::Transpose));
 }
 
 void CpuBackend::potrf(batched::ExecutionContext& ctx, batched::StreamId stream,
@@ -260,7 +264,7 @@ void CpuBackend::potrf(batched::ExecutionContext& ctx, batched::StreamId stream,
         MatrixView& v = (*st)[static_cast<size_t>(i)];
         if (v.empty()) return;
         la::cholesky(v);
-      });
+      }, label(OpKind::Potrf));
 }
 
 void CpuBackend::trsm_lower(batched::ExecutionContext& ctx, batched::StreamId stream,
@@ -285,7 +289,7 @@ void CpuBackend::trsm_lower(batched::ExecutionContext& ctx, batched::StreamId st
           la::trsm_lower_left(st->l[ui], op, st->b[ui]);
         else
           la::trsm_lower_right(st->l[ui], op, st->b[ui]);
-      });
+      }, label(OpKind::TrsmLower));
 }
 
 void CpuBackend::generate(batched::ExecutionContext& ctx, batched::StreamId stream,
@@ -304,7 +308,7 @@ void CpuBackend::generate(batched::ExecutionContext& ctx, batched::StreamId stre
         const auto& r = (*st)[static_cast<size_t>(i)];
         if (r.out.empty()) return;
         gen.generate_block(r.rows, r.cols, r.out);
-      });
+      }, label(OpKind::EntryGen));
 }
 
 } // namespace h2sketch::backend

@@ -5,9 +5,9 @@
 /// \file cpu_backend.hpp
 /// The host-pool backend: the batched primitive set executed on the
 /// persistent work-stealing pool through ExecutionContext's cost-chunked
-/// stream launches (this is the implementation that used to live as free
-/// functions in src/batched/). Device memory is host memory — allocation
-/// is a 64-byte-aligned heap allocation and every copy is a memcpy.
+/// stream launches, each labelled with its op_name. Device memory is host
+/// memory — allocation is a 64-byte-aligned heap allocation and every copy
+/// is a memcpy.
 
 namespace h2sketch::backend {
 

@@ -32,9 +32,10 @@
 ///     construction, matvec and ULV solver launch (gemm, gather_rows,
 ///     bsr_gemm, min-R-diag QR probe, row ID, Gaussian fill, transpose,
 ///     potrf, trsm, kernel entry generation) as named, dispatchable virtual
-///     ops. The free functions in src/batched/ are thin wrappers that
-///     dispatch through this table, so a CUDA/HIP backend drops in by
-///     overriding ops without touching any call site.
+///     ops. Call sites invoke them directly as `ctx.device().<op>(ctx, ...)`,
+///     so a CUDA/HIP backend drops in by overriding ops without touching
+///     any call site. Each op issues its launches through
+///     `ExecutionContext::run_batch`, labelled with `op_name` of its kind.
 ///
 /// Compute that touches device memory may only run inside a **kernel
 /// scope** (`kernel_scope()`): the RAII handle brackets the body of a
@@ -48,8 +49,7 @@ namespace h2sketch::backend {
 
 /// Launch granularity: one launch per batch entry (the per-block code path
 /// a non-batched implementation would use) vs one launch per batch (the
-/// GPU-shaped path). Historically named `Backend`; batched/device.hpp
-/// aliases it back under that name for existing call sites.
+/// GPU-shaped path).
 enum class LaunchMode {
   Naive,  ///< per-block execution: O(#blocks) kernel launches
   Batched ///< one launch per level per operation: O(Csp log N) launches
@@ -75,7 +75,8 @@ enum class OpKind {
   EntryGen,     ///< batched kernel entry generation (batchedGen)
 };
 
-/// Stable primitive name for logs, benches and registry-driven tests.
+/// Stable primitive name for logs, benches and registry-driven tests; also
+/// the trace label of the op's launches. Always a string literal.
 std::string_view op_name(OpKind kind);
 
 /// Every op in the dispatch table, in declaration order.
@@ -207,25 +208,47 @@ class DeviceBackend : public std::enable_shared_from_this<DeviceBackend> {
   DeviceStatsSnapshot stats() const;
 
   // --- batched primitive dispatch table -----------------------------------
+  //
+  // Ops taking a `stream` are asynchronous: view vectors are moved into the
+  // launch, and the buffers they reference must stay alive until the stream
+  // is synced. Launches on one stream run FIFO, so a pipeline on one stream
+  // needs no intermediate barriers. Ops without a stream complete on
+  // return. Every op is one launch in Batched mode (bsr_gemm: one per
+  // sub-launch), cost-chunked by per-entry flop estimates so a level mixing
+  // a few large nodes with many small ones load-balances. Empty entries are
+  // skipped.
 
-  /// Whether the backend implements a primitive (all built-ins implement
-  /// the full table; a partial accelerator backend may not).
-  virtual bool supports(OpKind) const { return true; }
-
+  /// Non-uniform batched gemm (the MAGMA vbatched stand-in):
+  /// c[i] = alpha * op(a[i]) * op(b[i]) + beta * c[i], entries of any shape.
   virtual void gemm(batched::ExecutionContext& ctx, batched::StreamId stream, real_t alpha,
                     std::vector<ConstMatrixView> a, la::Op op_a, std::vector<ConstMatrixView> b,
                     la::Op op_b, real_t beta, std::vector<MatrixView> c) = 0;
 
+  /// dst[i] = src[i](rows[i], :) — the paper's batchedShrink, which
+  /// restricts samples to the skeleton rows the ID selected when sweeping to
+  /// the next level.
   virtual void gather_rows(batched::ExecutionContext& ctx, batched::StreamId stream,
                            std::vector<ConstMatrixView> src,
                            std::vector<std::vector<index_t>> rows,
                            std::vector<MatrixView> dst) = 0;
 
+  /// Block-sparse-row product, the paper's batchedBSRGemm (§IV-A): given a
+  /// CSR block pattern over the nodes of a level,
+  ///     y[r] += alpha * sum_j blocks[row_ptr[r]+j] * x[col[row_ptr[r]+j]].
+  /// Split into at most Csp sub-launches, all on `stream`: sub-launch k
+  /// handles the k-th block of every row, so each y[r] is written by at
+  /// most one entry per launch (no atomics) and stream FIFO order makes the
+  /// accumulation race-free without an internal barrier. Since Csp is a
+  /// constant, a level costs O(Csp) launches. Returns the number of
+  /// sub-launches (== max blocks per row).
   virtual index_t bsr_gemm(batched::ExecutionContext& ctx, batched::StreamId stream, real_t alpha,
                            std::vector<index_t> row_ptr, std::vector<index_t> col,
                            std::vector<ConstMatrixView> blocks, std::vector<ConstMatrixView> x,
                            std::vector<MatrixView> y) = 0;
 
+  /// QR probe (the KBLAS batched-QR stand-in): out[i] = min |diag(R)| of the
+  /// unpivoted QR of a[i]. The adaptive construction only needs the smallest
+  /// diagonal entry per node to decide convergence (paper §III-B).
   virtual void min_r_diag(batched::ExecutionContext& ctx, std::span<const ConstMatrixView> a,
                           std::span<real_t> out) = 0;
 
@@ -239,27 +262,45 @@ class DeviceBackend : public std::enable_shared_from_this<DeviceBackend> {
                                  std::span<const index_t> factored,
                                  std::span<std::vector<real_t>> tau, std::span<real_t> out) = 0;
 
+  /// Batched row ID (the paper's batchedID): out[i] = row interpolative
+  /// decomposition of y[i] at absolute tolerance abs_tol, rank-capped by
+  /// max_rank when positive. The GPU path transposes each sample block and
+  /// runs a column-pivoted QR; each entry runs the same path here.
   virtual void row_id(batched::ExecutionContext& ctx, std::span<const ConstMatrixView> y,
                       real_t abs_tol, index_t max_rank, std::span<la::RowID> out) = 0;
 
+  /// Gaussian fill (the paper's batchedRand) of one matrix from a
+  /// counter-based stream starting at `offset`: one launch regardless of
+  /// size, results independent of the parallelization and of the backend.
   virtual void fill_gaussian(batched::ExecutionContext& ctx, MatrixView a,
                              const GaussianStream& stream, std::uint64_t offset) = 0;
 
+  /// Fill each block from the stream at its own offset; one launch total.
   virtual void fill_gaussian_blocks(batched::ExecutionContext& ctx,
                                     std::span<const MatrixView> blocks,
                                     const GaussianStream& stream,
                                     std::span<const std::uint64_t> offsets) = 0;
 
+  /// out[i] = in[i]^T (out[i] must be cols x rows). The GPU path transposes
+  /// sample blocks before the pivoted QR for coalesced access (§IV-A).
   virtual void transpose(batched::ExecutionContext& ctx, std::span<const ConstMatrixView> in,
                          std::span<const MatrixView> out) = 0;
 
+  /// In-place lower Cholesky a[i] = L_i L_i^T (strict upper triangle left
+  /// untouched). Throws at sync on a non-positive pivot in any entry.
   virtual void potrf(batched::ExecutionContext& ctx, batched::StreamId stream,
                      std::vector<MatrixView> a) = 0;
 
+  /// Solve op(L_i) X_i = B_i (Left) or X_i op(L_i) = B_i (Right) in place
+  /// for lower-triangular L_i.
   virtual void trsm_lower(batched::ExecutionContext& ctx, batched::StreamId stream, TrsmSide side,
                           la::Op op, std::vector<ConstMatrixView> l,
                           std::vector<MatrixView> b) = 0;
 
+  /// Batched entry generation (the paper's batchedGen): out = K(rows, cols)
+  /// for every request, in one launch (Batched) or one per block (Naive).
+  /// The index sets and output buffers the requests reference must stay
+  /// alive until the stream is synced.
   virtual void generate(batched::ExecutionContext& ctx, batched::StreamId stream,
                         const kern::EntryGenerator& gen,
                         std::vector<kern::BlockRequest> requests) = 0;

@@ -104,8 +104,6 @@ class FaultInjectingDevice final : public DeviceBackend {
 
   // --- forwarded primitive table ------------------------------------------
 
-  bool supports(OpKind kind) const override { return inner_->supports(kind); }
-
   void gemm(batched::ExecutionContext& ctx, batched::StreamId stream, real_t alpha,
             std::vector<ConstMatrixView> a, la::Op op_a, std::vector<ConstMatrixView> b,
             la::Op op_b, real_t beta, std::vector<MatrixView> c) override;

@@ -8,11 +8,11 @@ namespace h2sketch::batched {
 
 ExecutionContext::ExecutionContext() : ExecutionContext(backend::default_backend()) {}
 
-ExecutionContext::ExecutionContext(Backend backend)
-    : ExecutionContext(backend::ExecutionConfig{backend::default_backend().device, backend}) {}
+ExecutionContext::ExecutionContext(backend::LaunchMode mode)
+    : ExecutionContext(backend::ExecutionConfig{backend::default_backend().device, mode}) {}
 
 ExecutionContext::ExecutionContext(backend::ExecutionConfig config)
-    : device_(std::move(config.device)), backend_(config.mode), workspace_(device_) {
+    : device_(std::move(config.device)), mode_(config.mode), workspace_(device_) {
   H2S_CHECK(device_ != nullptr, "ExecutionContext: null device backend");
 }
 

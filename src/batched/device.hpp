@@ -23,7 +23,10 @@
 /// from the level-flattened trees) and a *batched execution* phase in which
 /// a single kernel launch processes every node of a level.
 ///
-/// Two backends share all call sites:
+/// Every batched op is issued as `ctx.device().<op>(ctx, stream, ...)`: the
+/// device backend (backend/device_backend.hpp) marshals its operands and
+/// issues one `run_batch` per launch, labelled with the op's name. Two
+/// launch modes share all call sites:
 ///  * Batched — one launch per batch (the GPU-shaped path), and the launch
 ///    counter advances by 1.
 ///  * Naive — one launch per batch *entry* (the per-block implementation a
@@ -49,11 +52,6 @@
 /// worker count), so results stay bitwise identical for any thread count.
 
 namespace h2sketch::batched {
-
-/// Launch granularity (legacy name kept for the original call sites; the
-/// enum itself now lives in the backend layer as LaunchMode, alongside the
-/// device backends that pair with it — see backend/registry.hpp).
-using Backend = backend::LaunchMode;
 
 /// Logical stream handle. Streams are small fixed resources (like CUDA
 /// stream handles); call sites use the named constants below.
@@ -92,14 +90,12 @@ class ExecutionContext {
   /// Process-default configuration ($H2SKETCH_BACKEND, default cpu/Batched).
   ExecutionContext();
   /// Explicit launch mode on the process-default device backend.
-  explicit ExecutionContext(Backend backend);
+  explicit ExecutionContext(backend::LaunchMode mode);
   /// Fully explicit configuration (registry- or factory-created).
   explicit ExecutionContext(backend::ExecutionConfig config);
   ~ExecutionContext();
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
-
-  Backend backend() const { return backend_; }
 
   /// The device backend this context dispatches batched primitives to.
   backend::DeviceBackend& device() const { return *device_; }
@@ -125,49 +121,29 @@ class ExecutionContext {
   /// f (and f itself, which is copied into the launch) must stay valid until
   /// the stream is synced. Naive mode: each entry is its own launch, run
   /// serially inline. An empty batch records no launch in either backend.
+  /// `label` (a string literal) names the launch's trace span; device
+  /// backends pass their op name.
   template <typename Cost, typename F>
-  void run_batch(StreamId stream, index_t batch, Cost&& cost, F&& f) {
+  void run_batch(StreamId stream, index_t batch, Cost&& cost, F&& f,
+                 const char* label = kUnlabelled) {
     if (batch <= 0) return;
-    // Launch labels come from the dispatch wrappers' ScopedLaunchLabel
-    // (op names); a non-null label also means "tracing was on at issue
-    // time" — synchronous paths time the work inline, the queued path
-    // stamps the LaunchState and reports at completion.
-    const char* label = obs::trace_enabled() ? launch_trace_label() : nullptr;
-    if (backend_ == Backend::Naive) {
+    // A non-null trace label also means "tracing was on at issue time":
+    // synchronous paths time the work inline, the queued path stamps the
+    // LaunchState and reports at completion.
+    const char* traced = obs::trace_enabled() ? label : nullptr;
+    if (mode_ == backend::LaunchMode::Naive) {
       count_stream_launch(stream, batch);
-      const std::int64_t t0 = label ? obs::trace_now_ns() : 0;
-      {
-        backend::KernelScope ks(device_.get());
-        serial_for(batch, f);
-      }
-      if (label) record_launch_event(stream, label, t0, batch, batch);
+      run_inline(stream, batch, f, traced, batch);
       return;
     }
     count_stream_launch(stream, 1);
-    if (runtime_mode() == RuntimeMode::FlatOpenMP) {
-      // Baseline mode: the pre-stream fork/join launch, synchronous. The
-      // calling thread holds the kernel scope; the process-wide unlock
-      // covers the forked workers.
-      const std::int64_t t0 = label ? obs::trace_now_ns() : 0;
-      {
-        backend::KernelScope ks(device_.get());
-        h2sketch::parallel_for(batch, f);
-      }
-      if (label) record_launch_event(stream, label, t0, batch, 1);
-      return;
-    }
     if (ThreadPool::global().width() <= 1 && stream_idle(stream)) {
       // Single lane and nothing queued ahead: run in place, zero overhead.
-      const std::int64_t t0 = label ? obs::trace_now_ns() : 0;
-      {
-        backend::KernelScope ks(device_.get());
-        serial_for(batch, f);
-      }
-      if (label) record_launch_event(stream, label, t0, batch, 1);
+      run_inline(stream, batch, f, traced, 1);
       return;
     }
     enqueue_launch(stream, std::function<void(index_t)>(std::forward<F>(f)),
-                   cost_chunks(batch, cost), label);
+                   cost_chunks(batch, cost), traced);
   }
 
   /// Uniform-cost stream launch.
@@ -176,11 +152,11 @@ class ExecutionContext {
     run_batch(stream, batch, [](index_t) { return index_t{1}; }, std::forward<F>(f));
   }
 
-  /// Legacy synchronous batch: one uniform-cost launch on the default
-  /// stream, completed on return.
+  /// Synchronous batch: one uniform-cost launch on the default stream,
+  /// completed on return.
   template <typename F>
-  void run_batch(index_t batch, F&& f) {
-    run_batch(kSampleStream, batch, std::forward<F>(f));
+  void run_batch(index_t batch, F&& f, const char* label = kUnlabelled) {
+    run_batch(kSampleStream, batch, [](index_t) { return index_t{1}; }, std::forward<F>(f), label);
     sync(kSampleStream);
   }
 
@@ -229,10 +205,21 @@ class ExecutionContext {
   std::int32_t stream_track(StreamId s) const {
     return obs::kStreamTrackBase + trace_ctx_id_ * kNumStreams + s;
   }
-  static const char* launch_trace_label() {
-    const char* l = obs::launch_label();
-    return l ? l : "launch";
+  /// Trace name of launches issued without an op label.
+  static constexpr const char* kUnlabelled = "launch";
+
+  /// Run a whole launch on the calling thread inside a kernel scope;
+  /// `launches` is the count the trace span reports as chunks.
+  template <typename F>
+  void run_inline(StreamId s, index_t batch, F& f, const char* traced, index_t launches) {
+    const std::int64_t t0 = traced ? obs::trace_now_ns() : 0;
+    {
+      backend::KernelScope ks(device_.get());
+      serial_for(batch, f);
+    }
+    if (traced) record_launch_event(s, traced, t0, batch, launches);
   }
+
   /// Emit one completed-launch span on the stream track.
   void record_launch_event(StreamId s, const char* label, std::int64_t start_ns, index_t batch,
                            index_t chunks);
@@ -270,7 +257,7 @@ class ExecutionContext {
   }
 
   std::shared_ptr<backend::DeviceBackend> device_;
-  Backend backend_;
+  backend::LaunchMode mode_;
   std::int32_t trace_ctx_id_ = obs::next_trace_ctx_id();
   std::atomic<index_t> launches_{0};
   std::array<Stream, static_cast<size_t>(kNumStreams)> streams_;

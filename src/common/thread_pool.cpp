@@ -1,5 +1,6 @@
 #include "common/thread_pool.hpp"
 
+#include <cstdlib>
 #include <utility>
 
 #include "common/parallel.hpp"
@@ -8,23 +9,34 @@ namespace h2sketch {
 
 namespace {
 
-std::atomic<RuntimeMode> g_runtime_mode{RuntimeMode::Streams};
-
 /// Worker slot index of the calling thread (SIZE_MAX for external threads).
 /// Used so nested submissions land on the submitting worker's own deque.
 thread_local size_t t_worker_slot = static_cast<size_t>(-1);
 thread_local ThreadPool* t_worker_pool = nullptr;
 
-/// Hard cap on workers: far above any sane OMP_NUM_THREADS, low enough that
-/// a pathological setting cannot exhaust process resources.
+/// Hard cap on workers: far above any sane H2SKETCH_NUM_THREADS, low enough
+/// that a pathological setting cannot exhaust process resources.
 constexpr int kMaxWorkers = 256;
+
+/// The process-wide width knob behind num_threads()/set_num_threads().
+std::atomic<int>& width_knob() {
+  static std::atomic<int> width{[] {
+    if (const char* s = std::getenv("H2SKETCH_NUM_THREADS")) {
+      const int v = std::atoi(s);
+      if (v > 0) return v;
+    }
+    return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  }()};
+  return width;
+}
 
 } // namespace
 
-RuntimeMode runtime_mode() { return g_runtime_mode.load(std::memory_order_relaxed); }
+int num_threads() { return width_knob().load(std::memory_order_relaxed); }
 
-void set_runtime_mode(RuntimeMode mode) {
-  g_runtime_mode.store(mode, std::memory_order_relaxed);
+void set_num_threads(int n) {
+  H2S_CHECK(n >= 1, "set_num_threads: width must be at least 1");
+  width_knob().store(n, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -91,15 +103,7 @@ ThreadPool::~ThreadPool() {
 }
 
 int ThreadPool::width() const {
-  if (forced_width_ > 0) return std::max(1, std::min(forced_width_, kMaxWorkers));
-  // OpenMP's nthreads ICV is per *thread*: omp_set_num_threads on the app
-  // thread is invisible from pool workers (they would read the env
-  // default). External threads therefore read the knob and publish it;
-  // workers consume the cached value (worker eligibility, nested widths).
-  if (t_worker_pool == this) return active_width_.load(std::memory_order_relaxed);
-  const int w = std::max(1, std::min(num_threads(), kMaxWorkers));
-  active_width_.store(w, std::memory_order_relaxed);
-  return w;
+  return std::clamp(forced_width_ > 0 ? forced_width_ : num_threads(), 1, kMaxWorkers);
 }
 
 bool ThreadPool::worker_eligible(size_t slot) const {

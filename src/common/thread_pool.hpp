@@ -18,9 +18,6 @@
 /// Persistent work-stealing thread pool: the CPU realization of the stream
 /// runtime (the GPU analogue is a set of CUDA streams feeding one device).
 ///
-/// The previous batched backend paid one OpenMP fork/join per launch with
-/// `schedule(static)` over batch entries whose costs vary by orders of
-/// magnitude. This pool replaces that with:
 ///  * persistent workers — created once, reused by every launch, sleeping on
 ///    a condition variable when idle (no per-launch thread management),
 ///  * per-worker deques with stealing — owners push/pop LIFO at the bottom,
@@ -37,25 +34,14 @@
 /// writes disjoint outputs, so results are bitwise identical for any number
 /// of threads — the property test_determinism pins.
 ///
-/// The pool's width follows `h2sketch::num_threads()` (OMP_NUM_THREADS /
-/// omp_set_num_threads when built with OpenMP, `H2SKETCH_NUM_THREADS` in
-/// OpenMP-free builds) at every parallel region, so existing thread-count
-/// knobs keep working in both directions: a width increase spawns workers
-/// lazily; a decrease parks the surplus workers (their queued tasks are
-/// stolen by the remaining lanes, and width 1 bypasses the pool
-/// entirely). Workers never exit until the pool is destroyed.
+/// The global pool's width is `h2sketch::num_threads()`
+/// ($H2SKETCH_NUM_THREADS / `set_num_threads`), re-read at every parallel
+/// region, so width changes take effect in both directions: an increase
+/// spawns workers lazily; a decrease parks the surplus workers (their
+/// queued tasks are stolen by the remaining lanes, and width 1 bypasses the
+/// pool entirely). Workers never exit until the pool is destroyed.
 
 namespace h2sketch {
-
-/// Execution policy toggle used for A/B benchmarking: `Streams` is the
-/// pool-backed runtime; `FlatOpenMP` restores the pre-stream behavior
-/// (fork/join `#pragma omp parallel for schedule(static)` per launch,
-/// serial GEMM inside samplers) so bench_construction can measure the
-/// speedup of the runtime against its own baseline in one binary.
-enum class RuntimeMode { Streams, FlatOpenMP };
-
-RuntimeMode runtime_mode();
-void set_runtime_mode(RuntimeMode mode);
 
 class ThreadPool;
 
@@ -131,7 +117,6 @@ class ThreadPool {
 
   /// Chunked parallel loop over [0, n): f(i) for every i, chunk boundaries
   /// derived from n only (never from the width), caller participates.
-  /// In FlatOpenMP mode falls back to the legacy OpenMP fork/join loop.
   template <typename F>
   void parallel_for(index_t n, F&& f);
 
@@ -163,9 +148,6 @@ class ThreadPool {
   std::atomic<bool> stop_{false};
   std::atomic<index_t> queued_{0};
   std::atomic<int> sleepers_{0}; ///< threads parked on wake_cv_
-  /// Last width observed by an external thread; what workers consult
-  /// (OpenMP's nthreads ICV is invisible from foreign threads).
-  mutable std::atomic<int> active_width_{1};
   std::atomic<std::uint64_t> tasks_executed_{0};
   std::atomic<std::uint64_t> round_robin_{0};
 
@@ -185,16 +167,7 @@ inline constexpr index_t kParallelForFanout = 64;
 template <typename F>
 void ThreadPool::parallel_for(index_t n, F&& f) {
   if (n <= 0) return;
-  const int w = width();
-  if (w <= 1 || n == 1 || runtime_mode() == RuntimeMode::FlatOpenMP) {
-    if (runtime_mode() == RuntimeMode::FlatOpenMP && w > 1) {
-      // Legacy flat path, preserved verbatim for baseline measurements.
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(static)
-      for (index_t i = 0; i < n; ++i) f(i);
-      return;
-#endif
-    }
+  if (width() <= 1 || n == 1) {
     for (index_t i = 0; i < n; ++i) f(i);
     return;
   }

@@ -1,9 +1,6 @@
 #include <cmath>
 
-#include "batched/batched_gemm.hpp"
-#include "batched/batched_qr.hpp"
-#include "batched/batched_rand.hpp"
-#include "batched/bsr_gemm.hpp"
+#include "batched/device.hpp"
 #include "core/builder.hpp"
 #include "la/blas.hpp"
 #include "obs/metrics.hpp"
@@ -39,7 +36,7 @@ void H2SketchBuilder::sample_columns(index_t d_new) {
     y_global_.append_cols(dev, d_new);
   }
   MatrixView new_omega = omega_global_.view().col_range(c0, d_new);
-  batched::batched_fill_gaussian(ctx_, new_omega, stream_, rand_offset_);
+  ctx_.device().fill_gaussian(ctx_, new_omega, stream_, rand_offset_);
   rand_offset_ += static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(d_new);
   MatrixView new_y = y_global_.view().col_range(c0, d_new);
   {
@@ -116,10 +113,10 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
       // Asynchronous on the sample stream: every later consumer of Y_loc
       // (min-diag probe, row ID, shrink) launches on the same stream, so
       // FIFO order stands in for a barrier.
-      batched::bsr_gemm(ctx_, batched::kSampleStream, -1.0,
-                        {near.row_ptr.begin(), near.row_ptr.end()},
-                        {near.col.begin(), near.col.end()}, std::move(blocks), std::move(xv),
-                        std::move(yv));
+      ctx_.device().bsr_gemm(ctx_, batched::kSampleStream, -1.0,
+                             {near.row_ptr.begin(), near.row_ptr.end()},
+                             {near.col.begin(), near.col.end()}, std::move(blocks), std::move(xv),
+                             std::move(yv));
     }
     return;
   }
@@ -159,10 +156,10 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
       const index_t rn = out_.ranks[uc][un];
       yv.push_back(yl[static_cast<size_t>(parent)].view().block(row0, c0, rn, dn));
     }
-    batched::bsr_gemm(ctx_, batched::kSampleStream, -1.0,
-                      {far_child.row_ptr.begin(), far_child.row_ptr.end()},
-                      {far_child.col.begin(), far_child.col.end()}, std::move(blocks),
-                      std::move(xv), std::move(yv));
+    ctx_.device().bsr_gemm(ctx_, batched::kSampleStream, -1.0,
+                           {far_child.row_ptr.begin(), far_child.row_ptr.end()},
+                           {far_child.col.begin(), far_child.col.end()}, std::move(blocks),
+                           std::move(xv), std::move(yv));
   }
 }
 
@@ -188,8 +185,8 @@ void H2SketchBuilder::extend_upswept(index_t level, index_t c0, index_t dn) {
       src.push_back(yloc_[ul][ui].view().col_range(c0, dn));
       dst.push_back(y_up_[ul][ui].view().col_range(c0, dn));
     }
-    batched::batched_gather_rows(ctx_, batched::kSampleStream, std::move(src), jlocal_[ul],
-                                 std::move(dst));
+    ctx_.device().gather_rows(ctx_, batched::kSampleStream, std::move(src), jlocal_[ul],
+                              std::move(dst));
   }
 
   // omega_up(:, new): U^T Omega(I, new) at the leaf, transfer products above.
@@ -203,8 +200,8 @@ void H2SketchBuilder::extend_upswept(index_t level, index_t c0, index_t dn) {
           omega_global_.view().block(tree_->begin(level, i), c0, tree_->size(level, i), dn));
       cv.push_back(omega_up_[ul][ui].view().col_range(c0, dn));
     }
-    batched::batched_gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
-                          std::move(bv), la::Op::None, 0.0, std::move(cv));
+    ctx_.device().gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
+                       std::move(bv), la::Op::None, 0.0, std::move(cv));
   } else {
     for (int side = 0; side < 2; ++side) {
       std::vector<ConstMatrixView> av, bv;
@@ -226,8 +223,8 @@ void H2SketchBuilder::extend_upswept(index_t level, index_t c0, index_t dn) {
         bv.push_back(omega_up_[ul + 1][static_cast<size_t>(2 * i + side)].view().col_range(c0, dn));
         cv.push_back(omega_up_[ul][ui].view().col_range(c0, dn));
       }
-      batched::batched_gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
-                            std::move(bv), la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
+      ctx_.device().gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
+                         std::move(bv), la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
     }
   }
 }
@@ -276,7 +273,7 @@ bool H2SketchBuilder::level_converged(index_t level) {
     work[ui] = probe_work_[ui].view();
   }
   std::vector<real_t> mins(static_cast<size_t>(nodes));
-  batched::batched_min_r_diag_update(ctx_, work, factored, probe_tau_, mins);
+  ctx_.device().min_r_diag_update(ctx_, work, factored, probe_tau_, mins);
   probe_cols_ = d_total_;
   // The adaptive loop's residual estimates (per-node min |R_ii| of the
   // probe) feed the process-wide sketch: long-running builders report

@@ -2,8 +2,7 @@
 
 #include <numeric>
 
-#include "batched/batched_gemm.hpp"
-#include "batched/batched_id.hpp"
+#include "batched/device.hpp"
 #include "core/builder.hpp"
 #include "la/blas.hpp"
 #include "obs/metrics.hpp"
@@ -107,7 +106,7 @@ void H2SketchBuilder::generate_dense_blocks() {
       reqs.push_back({leaf_positions_[static_cast<size_t>(r)],
                       leaf_positions_[static_cast<size_t>(c)], out_.dense.dev(e)});
     }
-  kern::batched_generate(ctx_, batched::kEntryGenStream, gen_, std::move(reqs));
+  ctx_.device().generate(ctx_, batched::kEntryGenStream, gen_, std::move(reqs));
 }
 
 void H2SketchBuilder::skeletonize_level(index_t level) {
@@ -123,7 +122,7 @@ void H2SketchBuilder::skeletonize_level(index_t level) {
     ys.reserve(static_cast<size_t>(nodes));
     for (index_t i = 0; i < nodes; ++i)
       ys.push_back(yloc_[ul][static_cast<size_t>(i)].view());
-    batched::batched_row_id(ctx_, ys, opts_.id_tol_factor * eps_abs(), /*max_rank=*/-1, ids);
+    ctx_.device().row_id(ctx_, ys, opts_.id_tol_factor * eps_abs(), /*max_rank=*/-1, ids);
   }
 
   // Store bases / transfers, ranks, skeleton index sets.
@@ -182,8 +181,8 @@ void H2SketchBuilder::skeletonize_level(index_t level) {
       src.push_back(yloc_[ul][ui].view());
       dst.push_back(yup[ui].view());
     }
-    batched::batched_gather_rows(ctx_, batched::kSampleStream, std::move(src), jlocal_[ul],
-                                 std::move(dst));
+    ctx_.device().gather_rows(ctx_, batched::kSampleStream, std::move(src), jlocal_[ul],
+                              std::move(dst));
 
     auto& oup = omega_up_[ul];
     oup.resize(static_cast<size_t>(nodes));
@@ -200,8 +199,8 @@ void H2SketchBuilder::skeletonize_level(index_t level) {
         bv.push_back(omega_global_.view().row_range(tree_->begin(level, i), tree_->size(level, i)));
         cv.push_back(oup[ui].view());
       }
-      batched::batched_gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
-                            std::move(bv), la::Op::None, 0.0, std::move(cv));
+      ctx_.device().gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
+                         std::move(bv), la::Op::None, 0.0, std::move(cv));
     } else {
       // omega_up = E1^T omega_up_nu1 + E2^T omega_up_nu2. Both half-launches
       // go to the basis stream: FIFO order makes the side-1 accumulation
@@ -227,8 +226,8 @@ void H2SketchBuilder::skeletonize_level(index_t level) {
           bv.push_back(omega_up_[ul + 1][static_cast<size_t>(2 * i + side)].view());
           cv.push_back(oup[ui].view());
         }
-        batched::batched_gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
-                              std::move(bv), la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
+        ctx_.device().gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
+                           std::move(bv), la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
       }
     }
   }
@@ -263,7 +262,7 @@ void H2SketchBuilder::generate_coupling(index_t level) {
   // Asynchronous: coupling generation overlaps the level's upsweep launches
   // (and, for the last level, nothing waits until the final sync_all). The
   // skeleton index sets referenced by the requests are stable members.
-  kern::batched_generate(ctx_, batched::kEntryGenStream, gen_, std::move(reqs));
+  ctx_.device().generate(ctx_, batched::kEntryGenStream, gen_, std::move(reqs));
 }
 
 void H2SketchBuilder::finalize_stats(double t0) {
@@ -307,7 +306,7 @@ ConstructionResult construct_h2(std::shared_ptr<const tree::ClusterTree> tree,
 ConstructionResult construct_h2(std::shared_ptr<const tree::ClusterTree> tree,
                                 const tree::Admissibility& adm, kern::MatVecSampler& sampler,
                                 const kern::EntryGenerator& gen, const ConstructionOptions& opts) {
-  batched::ExecutionContext ctx(batched::Backend::Batched);
+  batched::ExecutionContext ctx(backend::LaunchMode::Batched);
   return construct_h2(std::move(tree), adm, sampler, gen, opts, ctx);
 }
 

@@ -1,7 +1,6 @@
 #include "h2/h2_matvec.hpp"
 
-#include "batched/batched_gemm.hpp"
-#include "batched/bsr_gemm.hpp"
+#include "batched/device.hpp"
 
 namespace h2sketch::h2 {
 
@@ -91,9 +90,9 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
         xv.push_back(xd.row_range(t.begin(leaf, i), t.size(leaf, i)));
         yv.push_back(yd.row_range(t.begin(leaf, i), t.size(leaf, i)));
       }
-      batched::bsr_gemm(ctx, kNearField, 1.0, {near.row_ptr.begin(), near.row_ptr.end()},
-                        {near.col.begin(), near.col.end()}, std::move(blocks), std::move(xv),
-                        std::move(yv));
+      ctx.device().bsr_gemm(ctx, kNearField, 1.0, {near.row_ptr.begin(), near.row_ptr.end()},
+                            {near.col.begin(), near.col.end()}, std::move(blocks), std::move(xv),
+                            std::move(yv));
     }
   }
 
@@ -113,8 +112,8 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
       bv.push_back(xd.row_range(t.begin(leaf, i), t.size(leaf, i)));
       cv.push_back(xhat[static_cast<size_t>(leaf)][static_cast<size_t>(i)]);
     }
-    batched::batched_gemm(ctx, kLowRank, 1.0, std::move(av), la::Op::Trans, std::move(bv),
-                          la::Op::None, 0.0, std::move(cv));
+    ctx.device().gemm(ctx, kLowRank, 1.0, std::move(av), la::Op::Trans, std::move(bv),
+                      la::Op::None, 0.0, std::move(cv));
   }
 
   // Upward pass, inner: xhat_tau = E_left^T xhat_l + E_right^T xhat_r.
@@ -141,8 +140,8 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
         bv.push_back(xhat[static_cast<size_t>(l + 1)][static_cast<size_t>(2 * i + side)]);
         cv.push_back(xhat[static_cast<size_t>(l)][static_cast<size_t>(i)]);
       }
-      batched::batched_gemm(ctx, kLowRank, 1.0, std::move(av), la::Op::Trans, std::move(bv),
-                            la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
+      ctx.device().gemm(ctx, kLowRank, 1.0, std::move(av), la::Op::Trans, std::move(bv),
+                        la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
     }
   }
 
@@ -163,9 +162,9 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
       yv.push_back(yhat[static_cast<size_t>(l)][static_cast<size_t>(i)]);
     }
     const StreamId s = (l % 2 == 0) ? kLowRank : kCouplingSpill[(spill++) % 2];
-    batched::bsr_gemm(ctx, s, 1.0, {far.row_ptr.begin(), far.row_ptr.end()},
-                      {far.col.begin(), far.col.end()}, std::move(blocks), std::move(xv),
-                      std::move(yv));
+    ctx.device().bsr_gemm(ctx, s, 1.0, {far.row_ptr.begin(), far.row_ptr.end()},
+                          {far.col.begin(), far.col.end()}, std::move(blocks), std::move(xv),
+                          std::move(yv));
   }
   // Downward pass consumes every level's yhat: join the coupling fan-out
   // (the near-field stream keeps running).
@@ -192,8 +191,8 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
         bv.push_back(yhat[static_cast<size_t>(l)][static_cast<size_t>(i)]);
         cv.push_back(yhat[static_cast<size_t>(l + 1)][static_cast<size_t>(2 * i + side)]);
       }
-      batched::batched_gemm(ctx, kLowRank, 1.0, std::move(av), la::Op::None, std::move(bv),
-                            la::Op::None, 1.0, std::move(cv));
+      ctx.device().gemm(ctx, kLowRank, 1.0, std::move(av), la::Op::None, std::move(bv),
+                        la::Op::None, 1.0, std::move(cv));
     }
   }
 
@@ -215,8 +214,8 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
       bv.push_back(yhat[static_cast<size_t>(leaf)][static_cast<size_t>(i)]);
       cv.push_back(yd.row_range(t.begin(leaf, i), t.size(leaf, i)));
     }
-    batched::batched_gemm(ctx, kLowRank, 1.0, std::move(av), la::Op::None, std::move(bv),
-                          la::Op::None, 1.0, std::move(cv));
+    ctx.device().gemm(ctx, kLowRank, 1.0, std::move(av), la::Op::None, std::move(bv),
+                      la::Op::None, 1.0, std::move(cv));
   }
 
   // The arena panels must outlive every launch; then the result crosses

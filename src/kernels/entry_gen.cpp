@@ -1,22 +1,6 @@
 #include "kernels/entry_gen.hpp"
 
-#include "batched/device.hpp"
-#include "obs/trace.hpp"
-
 namespace h2sketch::kern {
-
-void batched_generate(batched::ExecutionContext& ctx, batched::StreamId stream,
-                      const EntryGenerator& gen, std::vector<BlockRequest> requests) {
-  obs::ScopedLaunchLabel label("batched_generate");
-  obs::TraceSpan span("backend", "batched_generate", "batch", requests.size());
-  ctx.device().generate(ctx, stream, gen, std::move(requests));
-}
-
-void batched_generate(batched::ExecutionContext& ctx, const EntryGenerator& gen,
-                      std::span<const BlockRequest> requests) {
-  batched_generate(ctx, batched::kSampleStream, gen, {requests.begin(), requests.end()});
-  ctx.sync(batched::kSampleStream);
-}
 
 KernelEntryGenerator::KernelEntryGenerator(const tree::ClusterTree& tree,
                                            const KernelFunction& kernel)

@@ -1,19 +1,18 @@
 #pragma once
 
 #include <atomic>
-#include <span>
 #include <vector>
 
-#include "backend/fwd.hpp"
 #include "common/matrix.hpp"
 #include "kernels/kernel.hpp"
 #include "tree/cluster_tree.hpp"
 
 /// \file entry_gen.hpp
-/// Batched entry generation (the paper's batchedGen, §IV-A): the second
-/// input to the construction algorithm, a function that evaluates a *batch*
-/// of sub-blocks K(I, J) with a single kernel launch. All index sets are in
-/// the cluster tree's permuted position space.
+/// Entry generators (the paper's batchedGen, §IV-A): the second input to
+/// the construction algorithm, a function that evaluates sub-blocks K(I, J).
+/// A batch of requests is evaluated in a single kernel launch by
+/// `DeviceBackend::generate`. All index sets are in the cluster tree's
+/// permuted position space.
 
 namespace h2sketch::kern {
 
@@ -41,17 +40,6 @@ class EntryGenerator {
   void record_entries(index_t n) const { entries_.fetch_add(n, std::memory_order_relaxed); }
   mutable std::atomic<index_t> entries_{0};
 };
-
-/// Evaluate all requested blocks in one launch (the batched mode) or one
-/// launch per block (naive mode), per the context's backend. Stream form:
-/// the request vector is moved into the launch; the index sets and output
-/// buffers it references must stay alive until the stream is synced.
-void batched_generate(batched::ExecutionContext& ctx, batched::StreamId stream,
-                      const EntryGenerator& gen, std::vector<BlockRequest> requests);
-
-/// Synchronous form: completed on return.
-void batched_generate(batched::ExecutionContext& ctx, const EntryGenerator& gen,
-                      std::span<const BlockRequest> requests);
 
 /// Entry generator for a kernel matrix on clustered geometry:
 /// K(i, j) = kernel(points[perm[i]], points[perm[j]]).

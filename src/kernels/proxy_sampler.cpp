@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "backend/device_matrix.hpp"
-#include "batched/batched_id.hpp"
+#include "batched/device.hpp"
 #include "common/timer.hpp"
 #include "h2/h2_matvec.hpp"
 #include "kernels/dense_sampler.hpp"
@@ -157,8 +157,43 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
 
   ProxyEntryGenerator pgen(t, kernel);
 
-  // Exact near field, enqueued first: it generates while the proxy geometry
-  // below is laid out, and its Frobenius mass anchors the ID threshold.
+  // Proxy geometry for every node that carries a basis (levels leaf..1):
+  // num_shells concentric shells from just inside the admissibility buffer
+  // (no admissible source can be closer than ~diameter/(2 eta) to the box)
+  // out to the radius enclosing the whole domain. Pure geometry — laid out
+  // for all levels before the first launch: add_shell grows the coordinate
+  // table that every generate launch reads, so it must be frozen first.
+  const bool has_far = surrogate_.mtree.has_any_far();
+  const index_t per_shell =
+      opts.points_per_shell > 0 ? opts.points_per_shell : auto_points_per_shell(opts.tol, dim);
+  const geo::BoundingBox& root_box = t.box(0, 0);
+  std::vector<std::vector<std::vector<index_t>>> proxy_idx(static_cast<size_t>(leaf + 1));
+  for (index_t l = 1; has_far && l <= leaf; ++l) {
+    proxy_idx[static_cast<size_t>(l)].resize(static_cast<size_t>(t.nodes_at(l)));
+    for (index_t i = 0; i < t.nodes_at(l); ++i) {
+      const geo::BoundingBox& b = t.box(l, i);
+      real_t c[3] = {0, 0, 0};
+      for (index_t d = 0; d < dim; ++d) c[d] = b.center(d);
+      const real_t diam = b.diameter();
+      const real_t scale = 1.0 + std::abs(c[0]) + std::abs(c[1]) + std::abs(c[2]);
+      // Guard degenerate boxes (duplicate points) with a tiny radius floor.
+      const real_t r_inner = std::max(0.5 * diam + opts.inner_gap_fraction * diam / opts.eta,
+                                      real_t(1e-8) * scale);
+      const real_t r_outer = std::max(root_box.max_corner_distance(c), 1.5 * r_inner);
+      auto& idx = proxy_idx[static_cast<size_t>(l)][static_cast<size_t>(i)];
+      idx.reserve(static_cast<size_t>(opts.num_shells * per_shell));
+      for (index_t s = 0; s < opts.num_shells; ++s) {
+        const real_t f = opts.num_shells > 1
+                             ? static_cast<real_t>(s) / static_cast<real_t>(opts.num_shells - 1)
+                             : real_t(0);
+        const real_t r = r_inner * std::pow(r_outer / r_inner, f);
+        add_shell(pgen, c, r, per_shell, dim, s, idx);
+      }
+    }
+  }
+  proxy_points_ = pgen.num_proxy();
+
+  // Exact near field: its Frobenius mass anchors the ID threshold.
   std::vector<std::vector<index_t>> leaf_positions(static_cast<size_t>(t.nodes_at(leaf)));
   {
     const auto& near = surrogate_.mtree.near_leaf;
@@ -184,51 +219,16 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
                             near.col[static_cast<size_t>(e)])],
                         surrogate_.dense.dev(e)});
       }
-    batched_generate(ctx, batched::kEntryGenStream, pgen, std::move(reqs));
+    ctx.device().generate(ctx, batched::kEntryGenStream, pgen, std::move(reqs));
   }
 
-  if (!surrogate_.mtree.has_any_far()) {
+  if (!has_far) {
     ctx.sync_all();
     entries_generated_ = pgen.entries_generated();
     surrogate_.validate();
     build_seconds_ = wall_seconds() - t0;
     return;
   }
-
-  // Proxy geometry for every node that carries a basis (levels leaf..1):
-  // num_shells concentric shells from just inside the admissibility buffer
-  // (no admissible source can be closer than ~diameter/(2 eta) to the box)
-  // out to the radius enclosing the whole domain. Pure geometry — laid out
-  // for all levels up front so the coordinate table is frozen before the
-  // first proxy-panel launch.
-  const index_t per_shell =
-      opts.points_per_shell > 0 ? opts.points_per_shell : auto_points_per_shell(opts.tol, dim);
-  const geo::BoundingBox& root_box = t.box(0, 0);
-  std::vector<std::vector<std::vector<index_t>>> proxy_idx(static_cast<size_t>(leaf + 1));
-  for (index_t l = 1; l <= leaf; ++l) {
-    proxy_idx[static_cast<size_t>(l)].resize(static_cast<size_t>(t.nodes_at(l)));
-    for (index_t i = 0; i < t.nodes_at(l); ++i) {
-      const geo::BoundingBox& b = t.box(l, i);
-      real_t c[3] = {0, 0, 0};
-      for (index_t d = 0; d < dim; ++d) c[d] = b.center(d);
-      const real_t diam = b.diameter();
-      const real_t scale = 1.0 + std::abs(c[0]) + std::abs(c[1]) + std::abs(c[2]);
-      // Guard degenerate boxes (duplicate points) with a tiny radius floor.
-      const real_t r_inner = std::max(0.5 * diam + opts.inner_gap_fraction * diam / opts.eta,
-                                      real_t(1e-8) * scale);
-      const real_t r_outer = std::max(root_box.max_corner_distance(c), 1.5 * r_inner);
-      auto& idx = proxy_idx[static_cast<size_t>(l)][static_cast<size_t>(i)];
-      idx.reserve(static_cast<size_t>(opts.num_shells * per_shell));
-      for (index_t s = 0; s < opts.num_shells; ++s) {
-        const real_t f = opts.num_shells > 1
-                             ? static_cast<real_t>(s) / static_cast<real_t>(opts.num_shells - 1)
-                             : real_t(0);
-        const real_t r = r_inner * std::pow(r_outer / r_inner, f);
-        add_shell(pgen, c, r, per_shell, dim, s, idx);
-      }
-    }
-  }
-  proxy_points_ = pgen.num_proxy();
 
   // ID threshold: like the construction's eps_abs = tol * ||K||, with the
   // near-field Frobenius mass as the (conservative, under-estimating) norm
@@ -279,7 +279,7 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
                                         static_cast<index_t>(cols.size()));
         reqs.push_back({rows, cols, panels[ui].view()});
       }
-      batched_generate(ctx, batched::kEntryGenStream, pgen, std::move(reqs));
+      ctx.device().generate(ctx, batched::kEntryGenStream, pgen, std::move(reqs));
       ctx.sync(batched::kEntryGenStream);
     }
 
@@ -288,7 +288,7 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
       std::vector<ConstMatrixView> ys;
       ys.reserve(static_cast<size_t>(nodes));
       for (index_t i = 0; i < nodes; ++i) ys.push_back(panels[static_cast<size_t>(i)].view());
-      batched::batched_row_id(ctx, ys, abs_tol, opts.max_rank, ids);
+      ctx.device().row_id(ctx, ys, abs_tol, opts.max_rank, ids);
     }
 
     for (index_t i = 0; i < nodes; ++i) {
@@ -338,7 +338,7 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
                           surrogate_.coupling[ul].dev(e)});
         }
     }
-    batched_generate(ctx, batched::kEntryGenStream, pgen, std::move(reqs));
+    ctx.device().generate(ctx, batched::kEntryGenStream, pgen, std::move(reqs));
   }
 
   ctx.sync_all();

@@ -35,10 +35,9 @@ void gemm(real_t alpha, ConstMatrixView a, Op op_a, ConstMatrixView b, Op op_b, 
 /// the NC boundary, and the tiles run concurrently on the persistent pool.
 /// Because the panel cuts coincide with the serial engine's own blocking,
 /// the result is bitwise identical to `gemm` for every thread count. Falls
-/// back to the serial dispatch when the product is too small to split, the
-/// pool width is 1, or the runtime is in FlatOpenMP baseline mode. Intended
-/// for the few monolithic products (dense sampler applications,
-/// densification) that a batched launch cannot subdivide.
+/// back to the serial dispatch when the product is too small to split or the
+/// pool width is 1. Intended for the few monolithic products (dense sampler
+/// applications, densification) that a batched launch cannot subdivide.
 void gemm_parallel(real_t alpha, ConstMatrixView a, Op op_a, ConstMatrixView b, Op op_b,
                    real_t beta, MatrixView c);
 

@@ -285,8 +285,7 @@ void gemm_parallel(real_t alpha, ConstMatrixView a, Op op_a, ConstMatrixView b, 
   ThreadPool& pool = ThreadPool::global();
   const index_t row_panels = (m + kGemmMC - 1) / kGemmMC;
   const index_t col_panels = (n + kGemmNC - 1) / kGemmNC;
-  if (runtime_mode() == RuntimeMode::FlatOpenMP || pool.width() <= 1 ||
-      !gemm_use_blocked(m, n, kk) || row_panels * col_panels <= 1) {
+  if (pool.width() <= 1 || !gemm_use_blocked(m, n, kk) || row_panels * col_panels <= 1) {
     gemm(alpha, a, op_a, b, op_b, beta, c);
     return;
   }

@@ -44,7 +44,6 @@ BufferRegistry& registry() {
 }
 
 thread_local ThreadBuffer* t_buffer = nullptr;
-thread_local const char* t_launch_label = nullptr;
 
 ThreadBuffer* acquire_buffer() {
   if (t_buffer) return t_buffer;
@@ -101,13 +100,6 @@ void record_event(const TraceEvent& ev) {
   if (slot.tid == kCallerTrack) slot.tid = buf->tid;
   buf->count.store(idx + 1, std::memory_order_release);
 }
-
-const char* launch_label() { return t_launch_label; }
-
-ScopedLaunchLabel::ScopedLaunchLabel(const char* label) : prev_(t_launch_label) {
-  t_launch_label = label;
-}
-ScopedLaunchLabel::~ScopedLaunchLabel() { t_launch_label = prev_; }
 
 std::int32_t next_trace_ctx_id() {
   return g_next_ctx_id.fetch_add(1, std::memory_order_relaxed);

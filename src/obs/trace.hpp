@@ -119,23 +119,6 @@ class TraceSpan {
   TraceEvent ev_;
 };
 
-/// Thread-local launch label: the batched dispatch wrappers scope one of
-/// these around each backend op so the runtime can name the launches the op
-/// issues (a single op may enqueue several) without threading strings
-/// through every signature.
-const char* launch_label();
-
-class ScopedLaunchLabel {
- public:
-  explicit ScopedLaunchLabel(const char* label);
-  ~ScopedLaunchLabel();
-  ScopedLaunchLabel(const ScopedLaunchLabel&) = delete;
-  ScopedLaunchLabel& operator=(const ScopedLaunchLabel&) = delete;
-
- private:
-  const char* prev_;
-};
-
 /// Collected trace, detached from the ring buffers (strings copied).
 struct TraceData {
   struct Event {

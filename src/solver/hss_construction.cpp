@@ -5,10 +5,7 @@
 #include <utility>
 
 #include "backend/device_matrix.hpp"
-#include "batched/batched_gemm.hpp"
-#include "batched/batched_id.hpp"
-#include "batched/batched_qr.hpp"
-#include "batched/batched_rand.hpp"
+#include "batched/device.hpp"
 #include "common/random.hpp"
 #include "la/blas.hpp"
 #include "obs/metrics.hpp"
@@ -96,7 +93,7 @@ class HssBuilder {
     for (index_t i = 0; i < tree_->nodes_at(leaf); ++i)
       reqs.push_back({leaf_positions_[static_cast<size_t>(i)],
                       leaf_positions_[static_cast<size_t>(i)], out_.leaf_diag.dev(i)});
-    kern::batched_generate(ctx_, batched::kEntryGenStream, gen_, std::move(reqs));
+    ctx_.device().generate(ctx_, batched::kEntryGenStream, gen_, std::move(reqs));
   }
 
   void sample_columns(index_t d_new) {
@@ -116,7 +113,7 @@ class HssBuilder {
       y_global_.append_cols(dev, d_new);
     }
     MatrixView new_omega = omega_global_.view().col_range(c0, d_new);
-    batched::batched_fill_gaussian(ctx_, new_omega, stream_, rand_offset_);
+    ctx_.device().fill_gaussian(ctx_, new_omega, stream_, rand_offset_);
     rand_offset_ += static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(d_new);
     MatrixView new_y = y_global_.view().col_range(c0, d_new);
     {
@@ -187,8 +184,8 @@ class HssBuilder {
       }
       // Later consumers of Y_loc launch on the sample stream too; FIFO order
       // stands in for a barrier.
-      batched::batched_gemm(ctx_, batched::kSampleStream, -1.0, std::move(av), la::Op::None,
-                            std::move(bv), la::Op::None, 1.0, std::move(cv));
+      ctx_.device().gemm(ctx_, batched::kSampleStream, -1.0, std::move(av), la::Op::None,
+                         std::move(bv), la::Op::None, 1.0, std::move(cv));
       return;
     }
 
@@ -236,9 +233,9 @@ class HssBuilder {
                          .col_range(c0, dn));
         cv.push_back(yl[static_cast<size_t>(i)].view().block(side == 0 ? 0 : r1, c0, rows, dn));
       }
-      batched::batched_gemm(ctx_, batched::kSampleStream, -1.0, std::move(av),
-                            side == 0 ? la::Op::None : la::Op::Trans, std::move(bv), la::Op::None,
-                            1.0, std::move(cv));
+      ctx_.device().gemm(ctx_, batched::kSampleStream, -1.0, std::move(av),
+                         side == 0 ? la::Op::None : la::Op::Trans, std::move(bv), la::Op::None,
+                         1.0, std::move(cv));
     }
   }
 
@@ -256,7 +253,7 @@ class HssBuilder {
       ys.reserve(static_cast<size_t>(nodes));
       for (index_t i = 0; i < nodes; ++i)
         ys.push_back(yloc_[ul][static_cast<size_t>(i)].view());
-      batched::batched_row_id(ctx_, ys, opts_.id_tol_factor * eps_abs(), /*max_rank=*/-1, ids);
+      ctx_.device().row_id(ctx_, ys, opts_.id_tol_factor * eps_abs(), /*max_rank=*/-1, ids);
     }
 
     {
@@ -311,8 +308,8 @@ class HssBuilder {
         src.push_back(yloc_[ul][ui].view());
         dst.push_back(yup[ui].view());
       }
-      batched::batched_gather_rows(ctx_, batched::kSampleStream, std::move(src), jlocal_[ul],
-                                   std::move(dst));
+      ctx_.device().gather_rows(ctx_, batched::kSampleStream, std::move(src), jlocal_[ul],
+                                std::move(dst));
     }
 
     auto& oup = omega_up_[ul];
@@ -339,8 +336,8 @@ class HssBuilder {
             omega_global_.view().block(tree_->begin(level, i), c0, tree_->size(level, i), dn));
         cv.push_back(omega_up_[ul][ui].view().col_range(c0, dn));
       }
-      batched::batched_gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
-                            std::move(bv), la::Op::None, 0.0, std::move(cv));
+      ctx_.device().gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
+                         std::move(bv), la::Op::None, 0.0, std::move(cv));
       return;
     }
     for (int side = 0; side < 2; ++side) {
@@ -363,8 +360,8 @@ class HssBuilder {
         bv.push_back(omega_up_[ul + 1][static_cast<size_t>(2 * i + side)].view().col_range(c0, dn));
         cv.push_back(omega_up_[ul][ui].view().col_range(c0, dn));
       }
-      batched::batched_gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
-                            std::move(bv), la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
+      ctx_.device().gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
+                         std::move(bv), la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
     }
   }
 
@@ -386,8 +383,8 @@ class HssBuilder {
         src.push_back(yloc_[ul][ui].view().col_range(c0, dn));
         dst.push_back(y_up_[ul][ui].view().col_range(c0, dn));
       }
-      batched::batched_gather_rows(ctx_, batched::kSampleStream, std::move(src), jlocal_[ul],
-                                   std::move(dst));
+      ctx_.device().gather_rows(ctx_, batched::kSampleStream, std::move(src), jlocal_[ul],
+                                std::move(dst));
     }
     upsweep_omega(level, c0, dn);
   }
@@ -434,7 +431,7 @@ class HssBuilder {
       work[ui] = probe_work_[ui].view();
     }
     std::vector<real_t> mins(static_cast<size_t>(nodes));
-    batched::batched_min_r_diag_update(ctx_, work, factored, probe_tau_, mins);
+    ctx_.device().min_r_diag_update(ctx_, work, factored, probe_tau_, mins);
     probe_cols_ = d_total_;
     obs::SketchMetric& residual_sketch =
         obs::MetricsRegistry::global().sketch("construction_probe_residual");
@@ -466,7 +463,7 @@ class HssBuilder {
       reqs.push_back({out_.skeleton[ul][static_cast<size_t>(2 * p)],
                       out_.skeleton[ul][static_cast<size_t>(2 * p + 1)],
                       out_.coupling[ul].dev(p)});
-    kern::batched_generate(ctx_, batched::kEntryGenStream, gen_, std::move(reqs));
+    ctx_.device().generate(ctx_, batched::kEntryGenStream, gen_, std::move(reqs));
   }
 
   void finalize_stats(double t0) {
@@ -539,7 +536,7 @@ HssResult build_hss(std::shared_ptr<const tree::ClusterTree> tree, kern::MatVecS
 
 HssResult build_hss(std::shared_ptr<const tree::ClusterTree> tree, kern::MatVecSampler& sampler,
                     const kern::EntryGenerator& gen, const core::ConstructionOptions& opts) {
-  batched::ExecutionContext ctx(batched::Backend::Batched);
+  batched::ExecutionContext ctx(backend::LaunchMode::Batched);
   return build_hss(std::move(tree), sampler, gen, opts, ctx);
 }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "backend/registry.hpp"
-#include "batched/batched_gemm.hpp"
+#include "batched/device.hpp"
 #include "la/blas.hpp"
 
 namespace h2sketch::solver {
@@ -188,8 +188,8 @@ void HssMatrix::matvec(batched::ExecutionContext& ctx, ConstMatrixView x, Matrix
       bv.push_back(xd.row_range(t.begin(leaf, i), t.size(leaf, i)));
       cv.push_back(yd.row_range(t.begin(leaf, i), t.size(leaf, i)));
     }
-    batched::batched_gemm(ctx, diag_stream, 1.0, std::move(av), la::Op::None, std::move(bv),
-                          la::Op::None, 1.0, std::move(cv));
+    ctx.device().gemm(ctx, diag_stream, 1.0, std::move(av), la::Op::None, std::move(bv),
+                      la::Op::None, 1.0, std::move(cv));
   }
 
   if (levels > 1) {
@@ -208,8 +208,8 @@ void HssMatrix::matvec(batched::ExecutionContext& ctx, ConstMatrixView x, Matrix
         bv.push_back(xd.row_range(t.begin(leaf, i), t.size(leaf, i)));
         cv.push_back(xhat[static_cast<size_t>(leaf)][static_cast<size_t>(i)]);
       }
-      batched::batched_gemm(ctx, stream, 1.0, std::move(av), la::Op::Trans, std::move(bv),
-                            la::Op::None, 0.0, std::move(cv));
+      ctx.device().gemm(ctx, stream, 1.0, std::move(av), la::Op::Trans, std::move(bv),
+                        la::Op::None, 0.0, std::move(cv));
     }
 
     // Upward pass, inner: xhat_tau = E_1^T xhat_l + E_2^T xhat_r (two
@@ -233,8 +233,8 @@ void HssMatrix::matvec(batched::ExecutionContext& ctx, ConstMatrixView x, Matrix
           bv.push_back(xhat[static_cast<size_t>(l + 1)][static_cast<size_t>(2 * i + side)]);
           cv.push_back(xhat[static_cast<size_t>(l)][static_cast<size_t>(i)]);
         }
-        batched::batched_gemm(ctx, stream, 1.0, std::move(av), la::Op::Trans, std::move(bv),
-                              la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
+        ctx.device().gemm(ctx, stream, 1.0, std::move(av), la::Op::Trans, std::move(bv),
+                          la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
       }
     }
 
@@ -257,9 +257,9 @@ void HssMatrix::matvec(batched::ExecutionContext& ctx, ConstMatrixView x, Matrix
           bv.push_back(xhat[ul][static_cast<size_t>(2 * p + (side == 0 ? 1 : 0))]);
           cv.push_back(yhat[ul][static_cast<size_t>(2 * p + side)]);
         }
-        batched::batched_gemm(ctx, stream, 1.0, std::move(av),
-                              side == 0 ? la::Op::None : la::Op::Trans, std::move(bv),
-                              la::Op::None, 1.0, std::move(cv));
+        ctx.device().gemm(ctx, stream, 1.0, std::move(av),
+                          side == 0 ? la::Op::None : la::Op::Trans, std::move(bv),
+                          la::Op::None, 1.0, std::move(cv));
       }
     }
 
@@ -283,8 +283,8 @@ void HssMatrix::matvec(batched::ExecutionContext& ctx, ConstMatrixView x, Matrix
           bv.push_back(yhat[static_cast<size_t>(l)][static_cast<size_t>(i)]);
           cv.push_back(yhat[static_cast<size_t>(l + 1)][static_cast<size_t>(2 * i + side)]);
         }
-        batched::batched_gemm(ctx, stream, 1.0, std::move(av), la::Op::None, std::move(bv),
-                              la::Op::None, 1.0, std::move(cv));
+        ctx.device().gemm(ctx, stream, 1.0, std::move(av), la::Op::None, std::move(bv),
+                          la::Op::None, 1.0, std::move(cv));
       }
     }
 
@@ -305,8 +305,8 @@ void HssMatrix::matvec(batched::ExecutionContext& ctx, ConstMatrixView x, Matrix
         bv.push_back(yhat[static_cast<size_t>(leaf)][static_cast<size_t>(i)]);
         cv.push_back(yd.row_range(t.begin(leaf, i), t.size(leaf, i)));
       }
-      batched::batched_gemm(ctx, stream, 1.0, std::move(av), la::Op::None, std::move(bv),
-                            la::Op::None, 1.0, std::move(cv));
+      ctx.device().gemm(ctx, stream, 1.0, std::move(av), la::Op::None, std::move(bv),
+                        la::Op::None, 1.0, std::move(cv));
     }
   }
 

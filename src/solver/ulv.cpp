@@ -6,8 +6,7 @@
 
 #include "backend/registry.hpp"
 #include "common/errors.hpp"
-#include "batched/batched_gemm.hpp"
-#include "batched/batched_solve.hpp"
+#include "batched/device.hpp"
 #include "la/blas.hpp"
 #include "la/qr.hpp"
 #include "obs/metrics.hpp"
@@ -225,11 +224,11 @@ UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
       dss.push_back(r > 0 && z > 0 ? dh.block(0, 0, r, r) : MatrixView());
     }
     std::vector<ConstMatrixView> wt = wc; // both gemm operands are W
-    batched::batched_potrf(ctx, stream, std::move(dzz));
-    batched::batched_trsm_lower(ctx, stream, batched::TrsmSide::Right, la::Op::Trans,
-                                std::move(lz), std::move(dsz));
-    batched::batched_gemm(ctx, stream, -1.0, std::move(wc), la::Op::None, std::move(wt),
-                          la::Op::Trans, 1.0, std::move(dss));
+    ctx.device().potrf(ctx, stream, std::move(dzz));
+    ctx.device().trsm_lower(ctx, stream, backend::TrsmSide::Right, la::Op::Trans,
+                            std::move(lz), std::move(dsz));
+    ctx.device().gemm(ctx, stream, -1.0, std::move(wc), la::Op::None, std::move(wt),
+                      la::Op::Trans, 1.0, std::move(dss));
   }
 
   // Root: marshal the level-1 Schur complements and reduced generators back

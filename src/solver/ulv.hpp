@@ -25,10 +25,10 @@
 ///      densely.
 ///
 /// The level sweep is executed as cost-annotated batches on one
-/// ExecutionContext stream (assemble+QR+transform, then batched potrf /
-/// trsm / gemm from batched_solve.hpp); FIFO stream order replaces explicit
-/// level barriers, so independent nodes overlap while the numerics stay
-/// bitwise identical for every thread count.
+/// ExecutionContext stream (assemble+QR+transform, then the device
+/// backend's batched potrf / trsm / gemm ops); FIFO stream order replaces
+/// explicit level barriers, so independent nodes overlap while the
+/// numerics stay bitwise identical for every thread count.
 
 namespace h2sketch::solver {
 

@@ -6,15 +6,10 @@
 
 #include "backend/device_matrix.hpp"
 #include "backend/registry.hpp"
-#include "batched/batched_gemm.hpp"
-#include "batched/batched_id.hpp"
-#include "batched/batched_qr.hpp"
-#include "batched/batched_rand.hpp"
-#include "batched/batched_solve.hpp"
-#include "batched/batched_transpose.hpp"
-#include "batched/bsr_gemm.hpp"
+#include "batched/device.hpp"
 #include "common/random.hpp"
 #include "kernels/entry_gen.hpp"
+#include "la/qr.hpp"
 #include "test_common.hpp"
 
 /// \file test_batched.cpp
@@ -81,13 +76,9 @@ TEST(BackendRegistry, ParitySuiteCoversEveryRegisteredPrimitive) {
       backend::OpKind::Potrf,         backend::OpKind::TrsmLower,
       backend::OpKind::EntryGen,
   };
-  for (backend::OpKind op : backend::all_ops()) {
+  for (backend::OpKind op : backend::all_ops())
     EXPECT_NE(std::find(covered.begin(), covered.end(), op), covered.end())
         << "primitive '" << backend::op_name(op) << "' has no parity coverage";
-    for (std::string_view name : backend::registered_backends())
-      EXPECT_TRUE(backend::make_backend(name).device->supports(op))
-          << name << " lacks " << backend::op_name(op);
-  }
 }
 
 TEST_P(RegistryBackendTest, GemmMatchesPerEntryReferenceBitwise) {
@@ -111,7 +102,8 @@ TEST_P(RegistryBackendTest, GemmMatchesPerEntryReferenceBitwise) {
     bv.push_back(db[i].dm.view());
     cv.push_back(dc[i].dm.view());
   }
-  batched_gemm(ctx_, 2.0, av, la::Op::None, bv, la::Op::None, 1.0, cv);
+  dev().gemm(ctx_, kSampleStream, 2.0, av, la::Op::None, bv, la::Op::None, 1.0, cv);
+  ctx_.sync(kSampleStream);
   for (size_t i = 0; i < dims.size(); ++i) {
     la::gemm(2.0, as[i].view(), la::Op::None, bs[i].view(), la::Op::None, 1.0, refs[i].view());
     const Matrix got = dc[i].dm.to_host();
@@ -129,7 +121,8 @@ TEST_P(RegistryBackendTest, GatherRowsMatchesReferenceBitwise) {
   std::vector<std::vector<index_t>> rows = {{5, 0}};
   std::vector<ConstMatrixView> in = {da.dm.view()};
   std::vector<MatrixView> dst = {out.view()};
-  batched_gather_rows(ctx_, in, rows, dst);
+  dev().gather_rows(ctx_, kSampleStream, in, rows, dst);
+  ctx_.sync(kSampleStream);
   const Matrix got = out.to_host();
   for (index_t j = 0; j < 3; ++j) {
     EXPECT_EQ(got(0, j), a(5, j));
@@ -150,7 +143,7 @@ TEST_P(RegistryBackendTest, MinRDiagMatchesSingleBitwise) {
     views.push_back(dm.back().dm.view());
   }
   std::vector<real_t> out(mats.size());
-  batched_min_r_diag(ctx_, views, out);
+  dev().min_r_diag(ctx_, views, out);
   for (size_t i = 0; i < mats.size(); ++i)
     EXPECT_EQ(out[i], la::min_abs_r_diag(mats[i].view()));
   EXPECT_EQ(ctx_.kernel_launches(), pinned(GetParam(), 3, 1));
@@ -183,7 +176,7 @@ TEST_P(RegistryBackendTest, MinRDiagUpdateMatchesFullProbeBitwise) {
       ingested[i] = c0 + dn;
     }
     std::vector<real_t> out(rows.size());
-    batched_min_r_diag_update(ctx_, wv, factored, tau, out);
+    dev().min_r_diag_update(ctx_, wv, factored, tau, out);
     for (size_t i = 0; i < rows.size(); ++i)
       EXPECT_EQ(out[i], la::min_abs_r_diag(full[i].view().col_range(0, ingested[i])))
           << "panel " << i << " step " << step;
@@ -202,7 +195,7 @@ TEST_P(RegistryBackendTest, RowIdMatchesSingleBitwise) {
     views.push_back(dm.back().dm.view());
   }
   std::vector<la::RowID> out(mats.size());
-  batched_row_id(ctx_, views, 1e-10, -1, out);
+  dev().row_id(ctx_, views, 1e-10, -1, out);
   for (size_t i = 0; i < mats.size(); ++i) {
     const la::RowID ref = la::row_id(mats[i].view(), 1e-10, -1);
     EXPECT_EQ(out[i].skeleton, ref.skeleton);
@@ -217,7 +210,7 @@ TEST_P(RegistryBackendTest, FillGaussianIdenticalAcrossBackends) {
   GaussianStream stream(99);
   backend::DeviceMatrix a;
   a.resize(dev(), 64, 8);
-  batched_fill_gaussian(ctx_, a.view(), stream, 1234);
+  dev().fill_gaussian(ctx_, a.view(), stream, 1234);
   Matrix ref(64, 8);
   fill_gaussian(ref.view(), stream, 1234);
   EXPECT_EQ(max_abs_diff(a.to_host().view(), ref.view()), 0.0);
@@ -228,7 +221,7 @@ TEST_P(RegistryBackendTest, FillGaussianIdenticalAcrossBackends) {
   b2.resize(dev(), 2, 7);
   const std::vector<MatrixView> blocks = {b1.view(), b2.view()};
   const std::vector<std::uint64_t> offsets = {11, 500};
-  batched_fill_gaussian(ctx_, blocks, stream, offsets);
+  dev().fill_gaussian_blocks(ctx_, blocks, stream, offsets);
   Matrix r1(5, 3), r2(2, 7);
   fill_gaussian(r1.view(), stream, 11);
   fill_gaussian(r2.view(), stream, 500);
@@ -246,7 +239,7 @@ TEST_P(RegistryBackendTest, TransposeMatchesReferenceBitwise) {
   bt.resize(dev(), 2, 3);
   std::vector<ConstMatrixView> in = {da.dm.view(), db.dm.view()};
   std::vector<MatrixView> out = {at.view(), bt.view()};
-  batched_transpose(ctx_, in, out);
+  dev().transpose(ctx_, in, out);
   const Matrix hat = at.to_host(), hbt = bt.to_host();
   for (index_t i = 0; i < 4; ++i)
     for (index_t j = 0; j < 7; ++j) EXPECT_EQ(hat(j, i), a(i, j));
@@ -274,15 +267,15 @@ TEST_P(RegistryBackendTest, PotrfAndTrsmMatchPerEntryReferenceBitwise) {
   }
   std::vector<MatrixView> av;
   for (auto& d : dspd) av.push_back(d.dm.view());
-  batched_potrf(ctx_, kSampleStream, std::move(av));
+  dev().potrf(ctx_, kSampleStream, std::move(av));
   std::vector<ConstMatrixView> lv;
   std::vector<MatrixView> bv;
   for (index_t e = 0; e < batch; ++e) {
     lv.push_back(dspd[static_cast<size_t>(e)].dm.view());
     bv.push_back(drhs[static_cast<size_t>(e)].dm.view());
   }
-  batched_trsm_lower(ctx_, kSampleStream, TrsmSide::Right, la::Op::Trans, std::move(lv),
-                     std::move(bv));
+  dev().trsm_lower(ctx_, kSampleStream, backend::TrsmSide::Right, la::Op::Trans, std::move(lv),
+                   std::move(bv));
   ctx_.sync_all();
   for (index_t e = 0; e < batch; ++e) {
     Matrix ref_l = to_matrix(spd[static_cast<size_t>(e)].view());
@@ -304,7 +297,8 @@ TEST_P(RegistryBackendTest, EntryGenMatchesDirectEvaluationBitwise) {
   out1.resize(dev(), 3, 2);
   out2.resize(dev(), 2, 3);
   std::vector<kern::BlockRequest> reqs = {{rows, cols, out1.view()}, {cols, rows, out2.view()}};
-  kern::batched_generate(ctx_, gen, reqs);
+  dev().generate(ctx_, kSampleStream, gen, reqs);
+  ctx_.sync(kSampleStream);
   Matrix ref1(3, 2), ref2(2, 3);
   gen.generate_block(rows, cols, ref1.view());
   gen.generate_block(cols, rows, ref2.view());
@@ -372,7 +366,9 @@ struct BsrFixture {
 TEST_P(RegistryBackendTest, BsrGemmMatchesDenseReferenceBitwise) {
   BsrFixture f(dev(), 6, 5, 4, 3, 2, 0.5, 42);
   f.reference(-1.0);
-  const index_t sub = bsr_gemm(ctx_, -1.0, f.row_ptr, f.col, f.blocks, f.xv, f.yv);
+  const index_t sub =
+      dev().bsr_gemm(ctx_, kSampleStream, -1.0, f.row_ptr, f.col, f.blocks, f.xv, f.yv);
+  ctx_.sync(kSampleStream);
   EXPECT_EQ(sub, f.max_blocks_per_row());
   for (size_t r = 0; r < f.dy.size(); ++r)
     EXPECT_EQ(max_abs_diff(f.dy[r].to_host().view(), f.y_ref[r].view()), 0.0);
@@ -415,7 +411,8 @@ TEST_P(RegistryBackendTest, BsrGemmHandlesRaggedRowsAndHeterogeneousBlocks) {
     dys[static_cast<size_t>(r)].resize(dev(), row_m[static_cast<size_t>(r)], 2);
     yv.push_back(dys[static_cast<size_t>(r)].view());
   }
-  const index_t sub = bsr_gemm(ctx_, 1.0, row_ptr, col, bv, xv, yv);
+  const index_t sub = dev().bsr_gemm(ctx_, kSampleStream, 1.0, row_ptr, col, bv, xv, yv);
+  ctx_.sync(kSampleStream);
   EXPECT_EQ(sub, 3);
   la::gemm(1.0, bl[0].view(), la::Op::None, xs[2].view(), la::Op::None, 1.0, yr[1].view());
   la::gemm(1.0, bl[1].view(), la::Op::None, xs[0].view(), la::Op::None, 1.0, yr[2].view());
@@ -431,7 +428,7 @@ TEST_P(RegistryBackendTest, BsrGemmEmptyPatternIsNoop) {
   std::vector<index_t> row_ptr = {0, 0, 0};
   Matrix y0(3, 2), y1(3, 2);
   std::vector<MatrixView> yv = {y0.view(), y1.view()};
-  const index_t sub = bsr_gemm(ctx_, 1.0, row_ptr, {}, {}, {}, yv);
+  const index_t sub = dev().bsr_gemm(ctx_, kSampleStream, 1.0, row_ptr, {}, {}, {}, yv);
   EXPECT_EQ(sub, 0);
   EXPECT_EQ(ctx_.kernel_launches(), 0);
 }
@@ -453,11 +450,11 @@ INSTANTIATE_TEST_SUITE_P(AllRegisteredBackends, RegistryBackendTest,
                          });
 
 TEST(ExecutionContext, LaunchAccountingPerBackend) {
-  ExecutionContext batched(Backend::Batched);
+  ExecutionContext batched(backend::LaunchMode::Batched);
   batched.run_batch(10, [](index_t) {});
   EXPECT_EQ(batched.kernel_launches(), 1);
 
-  ExecutionContext naive(Backend::Naive);
+  ExecutionContext naive(backend::LaunchMode::Naive);
   naive.run_batch(10, [](index_t) {});
   EXPECT_EQ(naive.kernel_launches(), 10);
 

@@ -132,7 +132,7 @@ TEST(SketchConstruction, BackendsProduceIdenticalMatrices) {
   opts.tol = 1e-6;
 
   kern::DenseMatrixSampler s1(kd.view()), s2(kd.view());
-  batched::ExecutionContext cb(batched::Backend::Batched), cn(batched::Backend::Naive);
+  batched::ExecutionContext cb(backend::LaunchMode::Batched), cn(backend::LaunchMode::Naive);
   auto rb = construct_h2(tr, Admissibility::general(0.7), s1, gen, opts, cb);
   auto rn = construct_h2(tr, Admissibility::general(0.7), s2, gen, opts, cn);
 

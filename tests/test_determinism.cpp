@@ -18,27 +18,31 @@
 #include "solver/ulv.hpp"
 #include "test_common.hpp"
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 /// \file test_determinism.cpp
 /// Thread-count determinism suite: the ROADMAP claims the counter-based RNG
 /// (Philox addressed by (seed, column counter)) plus fixed per-batch-entry
-/// arithmetic order make the construction bitwise reproducible under any
-/// OMP_NUM_THREADS. This suite makes that claim an explicit test: the same
-/// H2 matrix is built with 1, 2 and 4 threads and every output that could
-/// betray a scheduling dependence — sample counts, rounds, per-level ranks,
-/// the densified matrix, and matvec results — must be bitwise identical.
-///
-/// Without OpenMP the builds trivially agree; the suite still runs so the
-/// serial configuration keeps the same coverage surface.
+/// arithmetic order make the construction bitwise reproducible at any pool
+/// width. This suite makes that claim an explicit test: the same H2 matrix
+/// is built at widths 1, 2 and 4 (set_num_threads) and every output that
+/// could betray a scheduling dependence — sample counts, rounds, per-level
+/// ranks, the densified matrix, and matvec results — must be bitwise
+/// identical.
 
 namespace h2sketch {
 namespace {
 
 using core::ConstructionOptions;
 using tree::Admissibility;
+
+/// Run f at pool width `threads`, restoring the previous width afterwards.
+template <typename F>
+auto at_width(int threads, F&& f) {
+  const int prev = num_threads();
+  set_num_threads(threads);
+  auto out = f();
+  set_num_threads(prev);
+  return out;
+}
 
 struct BuildOutput {
   Matrix dense;
@@ -51,39 +55,32 @@ struct BuildOutput {
 };
 
 BuildOutput build_with_threads(int threads) {
-#if defined(_OPENMP)
-  const int prev = omp_get_max_threads();
-  omp_set_num_threads(threads);
-#else
-  (void)threads;
-#endif
-  auto tr = test_util::build_cube_tree(600, 2, 404, 16);
-  kern::ExponentialKernel k(0.2);
-  const Matrix kd = test_util::dense_kernel_matrix(*tr, k);
-  kern::DenseMatrixSampler sampler(kd.view());
-  kern::KernelEntryGenerator gen(*tr, k);
-  ConstructionOptions opts;
-  opts.tol = 1e-7;
-  opts.sample_block = 16;
-  opts.initial_samples = 32;
-  batched::ExecutionContext ctx(batched::Backend::Batched);
-  auto res = core::construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts, ctx);
+  return at_width(threads, [] {
+    auto tr = test_util::build_cube_tree(600, 2, 404, 16);
+    kern::ExponentialKernel k(0.2);
+    const Matrix kd = test_util::dense_kernel_matrix(*tr, k);
+    kern::DenseMatrixSampler sampler(kd.view());
+    kern::KernelEntryGenerator gen(*tr, k);
+    ConstructionOptions opts;
+    opts.tol = 1e-7;
+    opts.sample_block = 16;
+    opts.initial_samples = 32;
+    batched::ExecutionContext ctx(backend::LaunchMode::Batched);
+    auto res = core::construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts, ctx);
 
-  BuildOutput out;
-  out.dense = h2::densify(res.matrix);
-  Matrix x(600, 3), y(600, 3);
-  fill_gaussian(x.view(), GaussianStream(99));
-  h2::h2_matvec(res.matrix, x.view(), y.view());
-  out.matvec = std::move(y);
-  out.total_samples = res.stats.total_samples;
-  out.sample_rounds = res.stats.sample_rounds;
-  out.min_rank = res.stats.min_rank;
-  out.max_rank = res.stats.max_rank;
-  out.ranks_per_level = res.stats.max_rank_per_level;
-#if defined(_OPENMP)
-  omp_set_num_threads(prev);
-#endif
-  return out;
+    BuildOutput out;
+    out.dense = h2::densify(res.matrix);
+    Matrix x(600, 3), y(600, 3);
+    fill_gaussian(x.view(), GaussianStream(99));
+    h2::h2_matvec(res.matrix, x.view(), y.view());
+    out.matvec = std::move(y);
+    out.total_samples = res.stats.total_samples;
+    out.sample_rounds = res.stats.sample_rounds;
+    out.min_rank = res.stats.min_rank;
+    out.max_rank = res.stats.max_rank;
+    out.ranks_per_level = res.stats.max_rank_per_level;
+    return out;
+  });
 }
 
 TEST(Determinism, ConstructionIsBitwiseIdenticalAcrossThreadCounts) {
@@ -108,37 +105,15 @@ TEST(Determinism, BatchedRandIsScheduleInvariant) {
   // The counter-based fill itself (parallel_for over columns) must give the
   // same matrix for any thread count.
   auto fill_with = [](int threads) {
-#if defined(_OPENMP)
-    const int prev = omp_get_max_threads();
-    omp_set_num_threads(threads);
-#else
-    (void)threads;
-#endif
-    Matrix m(257, 33);
-    fill_gaussian(m.view(), GaussianStream(1234), 17);
-#if defined(_OPENMP)
-    omp_set_num_threads(prev);
-#endif
-    return m;
+    return at_width(threads, [] {
+        Matrix m(257, 33);
+        fill_gaussian(m.view(), GaussianStream(1234), 17);
+        return m;
+    });
   };
   const Matrix a = fill_with(1), b = fill_with(2), c = fill_with(4);
   EXPECT_EQ(max_abs_diff(a.view(), b.view()), 0.0);
   EXPECT_EQ(max_abs_diff(a.view(), c.view()), 0.0);
-}
-
-TEST(Determinism, FlatAndStreamRuntimesAgreeBitwise) {
-  // The stream runtime (async launches, cost-aware chunking, parallel GEMM
-  // panels) must be a pure scheduling change: building in FlatOpenMP
-  // baseline mode and in Streams mode gives bitwise-identical output.
-  set_runtime_mode(RuntimeMode::FlatOpenMP);
-  const BuildOutput flat = build_with_threads(2);
-  set_runtime_mode(RuntimeMode::Streams);
-  const BuildOutput streams = build_with_threads(2);
-  EXPECT_EQ(flat.total_samples, streams.total_samples);
-  EXPECT_EQ(flat.sample_rounds, streams.sample_rounds);
-  EXPECT_EQ(flat.ranks_per_level, streams.ranks_per_level);
-  EXPECT_EQ(max_abs_diff(flat.dense.view(), streams.dense.view()), 0.0);
-  EXPECT_EQ(max_abs_diff(flat.matvec.view(), streams.matvec.view()), 0.0);
 }
 
 /// Outputs of one HSS-ULV build + solve that could betray a scheduling
@@ -151,40 +126,33 @@ struct UlvOutput {
 };
 
 UlvOutput build_ulv_with_threads(int threads) {
-#if defined(_OPENMP)
-  const int prev = omp_get_max_threads();
-  omp_set_num_threads(threads);
-#else
-  (void)threads;
-#endif
-  auto tr = test_util::build_cube_tree(600, 2, 505, 16);
-  kern::ExponentialKernel base(0.25);
-  kern::RidgeKernel k(base, 1.0);
-  const Matrix kd = test_util::dense_kernel_matrix(*tr, k);
-  kern::DenseMatrixSampler sampler(kd.view());
-  kern::KernelEntryGenerator gen(*tr, k);
-  ConstructionOptions opts;
-  opts.tol = 1e-7;
-  opts.sample_block = 16;
-  opts.initial_samples = 32;
-  batched::ExecutionContext ctx(batched::Backend::Batched);
-  auto res = solver::build_hss(tr, sampler, gen, opts, ctx);
-  solver::UlvCholesky f = solver::ulv_factor(res.matrix, ctx);
+  return at_width(threads, [] {
+    auto tr = test_util::build_cube_tree(600, 2, 505, 16);
+    kern::ExponentialKernel base(0.25);
+    kern::RidgeKernel k(base, 1.0);
+    const Matrix kd = test_util::dense_kernel_matrix(*tr, k);
+    kern::DenseMatrixSampler sampler(kd.view());
+    kern::KernelEntryGenerator gen(*tr, k);
+    ConstructionOptions opts;
+    opts.tol = 1e-7;
+    opts.sample_block = 16;
+    opts.initial_samples = 32;
+    batched::ExecutionContext ctx(backend::LaunchMode::Batched);
+    auto res = solver::build_hss(tr, sampler, gen, opts, ctx);
+    solver::UlvCholesky f = solver::ulv_factor(res.matrix, ctx);
 
-  UlvOutput out;
-  out.dense = res.matrix.densify();
-  out.root = to_matrix(f.root_factor().view());
-  Matrix b1(600, 1), bn(600, 3);
-  fill_gaussian(b1.view(), GaussianStream(606));
-  fill_gaussian(bn.view(), GaussianStream(607));
-  out.solve_one.resize(600, 1);
-  out.solve_many.resize(600, 3);
-  f.solve_many(b1.view(), out.solve_one.view(), ctx);
-  f.solve_many(bn.view(), out.solve_many.view(), ctx);
-#if defined(_OPENMP)
-  omp_set_num_threads(prev);
-#endif
-  return out;
+    UlvOutput out;
+    out.dense = res.matrix.densify();
+    out.root = to_matrix(f.root_factor().view());
+    Matrix b1(600, 1), bn(600, 3);
+    fill_gaussian(b1.view(), GaussianStream(606));
+    fill_gaussian(bn.view(), GaussianStream(607));
+    out.solve_one.resize(600, 1);
+    out.solve_many.resize(600, 3);
+    f.solve_many(b1.view(), out.solve_one.view(), ctx);
+    f.solve_many(bn.view(), out.solve_many.view(), ctx);
+    return out;
+  });
 }
 
 TEST(UlvDeterminism, FactorsAndSolvesAreBitwiseIdenticalAcrossThreadCounts) {
@@ -241,7 +209,6 @@ TEST(UlvSlowGuard, SolveResidualAtN8192TracksTolerance) {
   EXPECT_LT(std::sqrt(num / den), 100 * opts.tol);
 }
 
-#if defined(_OPENMP)
 /// The ROADMAP's open "speedup assertion": with the stream runtime, the same
 /// N = 2048 construction must get ≥ 1.3x faster from 1 to 4 threads on
 /// hardware that actually has 4 cores. Registered under the slow label (see
@@ -253,23 +220,22 @@ TEST(DeterminismScaling, FourThreadsBeatOneByThirtyPercent) {
                  << " hardware threads; 1-vs-4 timing would measure time-slicing, not scaling";
 
   auto build_timed = [](int threads) {
-    const int prev = omp_get_max_threads();
-    omp_set_num_threads(threads);
-    auto tr = test_util::build_cube_tree(2048, 3, 811, 32);
-    kern::ExponentialKernel k(0.2);
-    const Matrix kd = test_util::dense_kernel_matrix(*tr, k);
-    kern::DenseMatrixSampler sampler(kd.view());
-    kern::KernelEntryGenerator gen(*tr, k);
-    ConstructionOptions opts;
-    opts.tol = 1e-6;
-    opts.sample_block = 32;
-    opts.initial_samples = 64;
-    batched::ExecutionContext ctx(batched::Backend::Batched);
-    const double t0 = wall_seconds();
-    auto res = core::construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts, ctx);
-    const double dt = wall_seconds() - t0;
-    omp_set_num_threads(prev);
-    return std::pair<double, index_t>(dt, res.stats.total_samples);
+    return at_width(threads, [] {
+      auto tr = test_util::build_cube_tree(2048, 3, 811, 32);
+      kern::ExponentialKernel k(0.2);
+      const Matrix kd = test_util::dense_kernel_matrix(*tr, k);
+      kern::DenseMatrixSampler sampler(kd.view());
+      kern::KernelEntryGenerator gen(*tr, k);
+      ConstructionOptions opts;
+      opts.tol = 1e-6;
+      opts.sample_block = 32;
+      opts.initial_samples = 64;
+      batched::ExecutionContext ctx(backend::LaunchMode::Batched);
+      const double t0 = wall_seconds();
+      auto res = core::construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts, ctx);
+      const double dt = wall_seconds() - t0;
+      return std::pair<double, index_t>(dt, res.stats.total_samples);
+    });
   };
 
   // Warm up the pool and page in the kernel matrix, then take the best of
@@ -287,25 +253,11 @@ TEST(DeterminismScaling, FourThreadsBeatOneByThirtyPercent) {
 }
 
 TEST(Determinism, SuiteActuallyVariesThreadCount) {
-  // Guard against the suite silently degenerating to single-threaded runs:
-  // after requesting 4 threads, a parallel region must actually get 4
-  // (OpenMP creates them regardless of core count). If the environment
-  // forbids it (OMP_THREAD_LIMIT), skip loudly instead of passing vacuously.
-  if (omp_get_thread_limit() < 4)
-    GTEST_SKIP() << "OMP_THREAD_LIMIT=" << omp_get_thread_limit()
-                 << " pins the runtime below 4 threads; the bitwise "
-                    "comparison above degenerated to same-thread-count runs";
-  omp_set_dynamic(0);
-  omp_set_num_threads(4);
-  int seen = 0;
-#pragma omp parallel
-  {
-#pragma omp atomic
-    ++seen;
-  }
-  EXPECT_EQ(seen, 4);
+  // Guard against the suite silently degenerating to same-width runs: the
+  // width the suite sets must be the width the global pool runs at.
+  for (int threads : {1, 2, 4})
+    EXPECT_EQ(at_width(threads, [] { return ThreadPool::global().width(); }), threads);
 }
-#endif
 
 } // namespace
 } // namespace h2sketch

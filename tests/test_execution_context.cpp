@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "batched/batched_rand.hpp"
 #include "common/random.hpp"
 #include "core/construction.hpp"
 #include "h2/h2_dense.hpp"
@@ -23,6 +22,7 @@
 namespace h2sketch::batched {
 namespace {
 
+using backend::LaunchMode;
 using tree::Admissibility;
 
 TEST(ExecutionContext, RunBatchLaunchAccountingIsExact) {
@@ -33,21 +33,21 @@ TEST(ExecutionContext, RunBatchLaunchAccountingIsExact) {
     if (b > 0) ++expected_batched;
   }
 
-  for (Backend backend : {Backend::Naive, Backend::Batched}) {
-    ExecutionContext ctx(backend);
+  for (LaunchMode mode : {LaunchMode::Naive, LaunchMode::Batched}) {
+    ExecutionContext ctx(mode);
     std::atomic<index_t> visits{0};
     for (index_t b : batch_sizes)
       ctx.run_batch(b, [&](index_t) { visits.fetch_add(1, std::memory_order_relaxed); });
     // Every entry executes exactly once regardless of backend.
     EXPECT_EQ(visits.load(), expected_naive);
     EXPECT_EQ(ctx.kernel_launches(),
-              backend == Backend::Naive ? expected_naive : expected_batched);
+              mode == LaunchMode::Naive ? expected_naive : expected_batched);
   }
 }
 
 TEST(ExecutionContext, RunBatchVisitsEveryIndexOnce) {
-  for (Backend backend : {Backend::Naive, Backend::Batched}) {
-    ExecutionContext ctx(backend);
+  for (LaunchMode mode : {LaunchMode::Naive, LaunchMode::Batched}) {
+    ExecutionContext ctx(mode);
     std::vector<std::atomic<int>> hits(64);
     ctx.run_batch(64, [&](index_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -58,26 +58,26 @@ TEST(ExecutionContext, EmptyLaunchesRecordNoLaunchInEitherBackend) {
   // Regression for the empty-level accounting: a batch of size 0 (an empty
   // level, an empty near/far list) must cost zero launches uniformly —
   // Naive counting per entry and Batched counting per launch agree at 0.
-  for (Backend backend : {Backend::Naive, Backend::Batched}) {
-    ExecutionContext ctx(backend);
+  for (LaunchMode mode : {LaunchMode::Naive, LaunchMode::Batched}) {
+    ExecutionContext ctx(mode);
     ctx.run_batch(0, [](index_t) { FAIL() << "empty batch must not execute"; });
     ctx.run_batch(kSampleStream, 0, [](index_t) { FAIL(); });
     ctx.run_batch(
         kBasisStream, 0, [](index_t) { return index_t{1}; }, [](index_t) { FAIL(); });
     ctx.run_batch(-3, [](index_t) { FAIL(); });
     ctx.sync_all();
-    EXPECT_EQ(ctx.kernel_launches(), 0) << (backend == Backend::Naive ? "naive" : "batched");
+    EXPECT_EQ(ctx.kernel_launches(), 0) << (mode == LaunchMode::Naive ? "naive" : "batched");
   }
 }
 
 TEST(ExecutionContext, EmptyGaussianFillRecordsNoLaunch) {
-  ExecutionContext ctx(Backend::Batched);
+  ExecutionContext ctx(LaunchMode::Batched);
   Matrix empty;
   GaussianStream stream(7);
-  batched_fill_gaussian(ctx, empty.view(), stream, 0);
+  ctx.device().fill_gaussian(ctx, empty.view(), stream, 0);
   EXPECT_EQ(ctx.kernel_launches(), 0);
   Matrix some(3, 2);
-  batched_fill_gaussian(ctx, some.view(), stream, 0);
+  ctx.device().fill_gaussian(ctx, some.view(), stream, 0);
   EXPECT_EQ(ctx.kernel_launches(), 1);
 }
 
@@ -87,7 +87,7 @@ TEST(ExecutionContext, SameStreamLaunchesRunInFifoOrder) {
   // launches; any reordering or overlap corrupts the running sum (recorded
   // in a flag — launch bodies may run off the main thread, so no gtest
   // assertions inside).
-  ExecutionContext ctx(Backend::Batched);
+  ExecutionContext ctx(LaunchMode::Batched);
   std::vector<index_t> acc(8, 0);
   std::atomic<bool> order_violated{false};
   for (int k = 0; k < 50; ++k)
@@ -103,7 +103,7 @@ TEST(ExecutionContext, SameStreamLaunchesRunInFifoOrder) {
 }
 
 TEST(ExecutionContext, IndependentStreamsAllCompleteAtSyncAll) {
-  ExecutionContext ctx(Backend::Batched);
+  ExecutionContext ctx(LaunchMode::Batched);
   std::array<std::atomic<index_t>, static_cast<size_t>(kNumStreams)> per_stream{};
   for (StreamId s = 0; s < kNumStreams; ++s)
     for (int k = 0; k < 5; ++k)
@@ -119,7 +119,7 @@ TEST(ExecutionContext, IndependentStreamsAllCompleteAtSyncAll) {
 }
 
 TEST(ExecutionContext, LaunchExceptionSurfacesNoLaterThanSync) {
-  ExecutionContext ctx(Backend::Batched);
+  ExecutionContext ctx(LaunchMode::Batched);
   auto issue_and_sync = [&ctx] {
     ctx.run_batch(kSampleStream, 32, [](index_t i) {
       if (i == 13) throw std::runtime_error("entry 13 failed");
@@ -137,7 +137,7 @@ TEST(ExecutionContext, LaunchExceptionSurfacesNoLaterThanSync) {
 TEST(ExecutionContext, CostChunkedLaunchExecutesEveryEntryOnce) {
   // Wildly skewed per-entry costs (every 10th entry pretends to be 1000x
   // the rest) must not drop, duplicate, or reorder entry effects.
-  ExecutionContext ctx(Backend::Batched);
+  ExecutionContext ctx(LaunchMode::Batched);
   std::vector<index_t> out(100, 0);
   ctx.run_batch(
       kSampleStream, 100, [](index_t i) { return (i % 10 == 0) ? index_t{1000} : index_t{1}; },
@@ -158,16 +158,16 @@ TEST(ExecutionContext, NearFieldOnlyConstructionLaunchCountsArePinned) {
   opts.tol = 1e-6;
 
   // eta = 0 admissibility: nothing is admissible, every level is "empty".
-  for (Backend backend : {Backend::Naive, Backend::Batched}) {
+  for (LaunchMode mode : {LaunchMode::Naive, LaunchMode::Batched}) {
     kern::DenseMatrixSampler sampler(kd.view());
-    ExecutionContext ctx(backend);
+    ExecutionContext ctx(mode);
     auto res = core::construct_h2(tr, Admissibility::general(0.0), sampler, gen, opts, ctx);
     ASSERT_FALSE(res.matrix.mtree.has_any_far());
     const index_t near_blocks = res.matrix.mtree.near_leaf.count();
     // Exactly one operation runs: the near-field entry generation. Batched:
     // one launch total. Naive: one launch per near block. Empty far levels
     // contribute zero in both backends.
-    EXPECT_EQ(res.stats.kernel_launches, backend == Backend::Batched ? 1 : near_blocks);
+    EXPECT_EQ(res.stats.kernel_launches, mode == LaunchMode::Batched ? 1 : near_blocks);
   }
 }
 
@@ -185,7 +185,7 @@ TEST(ExecutionContext, ConstructionParityNaiveVsBatched3D) {
   opts.initial_samples = 32;
 
   kern::DenseMatrixSampler sn(kd.view()), sb(kd.view());
-  ExecutionContext cn(Backend::Naive), cb(Backend::Batched);
+  ExecutionContext cn(LaunchMode::Naive), cb(LaunchMode::Batched);
   auto rn = core::construct_h2(tr, Admissibility::general(0.7), sn, gen, opts, cn);
   auto rb = core::construct_h2(tr, Admissibility::general(0.7), sb, gen, opts, cb);
 
@@ -203,20 +203,20 @@ TEST(ExecutionContext, LaunchGapWidensWithProblemSize) {
   core::ConstructionOptions opts;
   opts.tol = 1e-6;
 
-  auto launches = [&](index_t n, Backend backend) {
+  auto launches = [&](index_t n, LaunchMode mode) {
     auto tr = test_util::build_cube_tree(n, 2, 78, 16);
     const Matrix kd = test_util::dense_kernel_matrix(*tr, k);
     kern::DenseMatrixSampler sampler(kd.view());
     kern::KernelEntryGenerator gen(*tr, k);
-    ExecutionContext ctx(backend);
+    ExecutionContext ctx(mode);
     auto res = core::construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts, ctx);
     return res.stats.kernel_launches;
   };
 
-  const index_t naive_small = launches(256, Backend::Naive);
-  const index_t naive_big = launches(1024, Backend::Naive);
-  const index_t batched_small = launches(256, Backend::Batched);
-  const index_t batched_big = launches(1024, Backend::Batched);
+  const index_t naive_small = launches(256, LaunchMode::Naive);
+  const index_t naive_big = launches(1024, LaunchMode::Naive);
+  const index_t batched_small = launches(256, LaunchMode::Batched);
+  const index_t batched_big = launches(1024, LaunchMode::Batched);
 
   ASSERT_GT(batched_small, 0);
   ASSERT_GT(naive_small, batched_small);

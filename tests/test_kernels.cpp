@@ -88,12 +88,13 @@ TEST_F(EntryGenFixture, MatchesDirectKernelEvaluationThroughPermutation) {
 }
 
 TEST_F(EntryGenFixture, BatchedGenerateIsOneLaunch) {
-  batched::ExecutionContext ctx(batched::Backend::Batched);
+  batched::ExecutionContext ctx(backend::LaunchMode::Batched);
   Matrix o1(4, 4), o2(2, 7);
   std::vector<index_t> r1 = {0, 1, 2, 3}, c1 = {10, 11, 12, 13};
   std::vector<index_t> r2 = {50, 60}, c2 = {1, 2, 3, 4, 5, 6, 7};
   std::vector<BlockRequest> reqs = {{r1, c1, o1.view()}, {r2, c2, o2.view()}};
-  batched_generate(ctx, *gen_, reqs);
+  ctx.device().generate(ctx, batched::kSampleStream, *gen_, reqs);
+  ctx.sync(batched::kSampleStream);
   EXPECT_EQ(ctx.kernel_launches(), 1);
   EXPECT_EQ(gen_->entries_generated(), 16 + 14);
   // Spot-check one entry of each block.

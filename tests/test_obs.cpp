@@ -230,7 +230,7 @@ TEST(Trace, CrossLayerSpansLandOnStreamTracks) {
   opts.tol = 1e-6;
   opts.sample_block = 32;
   opts.initial_samples = 64;
-  batched::ExecutionContext ctx(batched::Backend::Batched);
+  batched::ExecutionContext ctx(backend::LaunchMode::Batched);
 
   start_trace();
   auto res = core::construct_h2(tree, tree::Admissibility::general(0.7), sampler, gen, opts, ctx);

@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "core/construction.hpp"
 #include "h2/h2_dense.hpp"
 #include "kernels/dense_sampler.hpp"
@@ -26,6 +27,15 @@ using test_util::cube_tree;
 using test_util::dense_kernel_matrix;
 using test_util::random_matrix;
 using test_util::rel_fro_error;
+
+/// Pin the pool to width 4 whatever the environment asks for: the surrogate
+/// build overlaps launches with host-side setup, and a data race between
+/// the two only shows when launches run concurrently.
+class PoolWidth4 : public ::testing::Environment {
+ public:
+  void SetUp() override { set_num_threads(4); }
+};
+const auto* const kPoolWidth4 = ::testing::AddGlobalTestEnvironment(new PoolWidth4);
 
 TEST(ProxySurrogate, ApproximatesTheDenseKernelMatrix) {
   auto tr = test_util::build_cube_tree(1200, 2, 77, 32);

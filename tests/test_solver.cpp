@@ -3,7 +3,7 @@
 #include <cmath>
 #include <vector>
 
-#include "batched/batched_solve.hpp"
+#include "batched/device.hpp"
 #include "common/random.hpp"
 #include "core/construction.hpp"
 #include "h2/h2_matvec.hpp"
@@ -94,24 +94,24 @@ TEST(BatchedSolve, PotrfAndTrsmMatchReferenceInBothBackends) {
     rhs[static_cast<size_t>(e)] = random_matrix(m, n, 1900 + static_cast<std::uint64_t>(e));
     rhs_ref[static_cast<size_t>(e)] = to_matrix(rhs[static_cast<size_t>(e)].view());
   }
-  for (auto backend : {batched::Backend::Batched, batched::Backend::Naive}) {
+  for (auto mode : {backend::LaunchMode::Batched, backend::LaunchMode::Naive}) {
     std::vector<Matrix> a_run(batch), b_run(batch);
     for (index_t e = 0; e < batch; ++e) {
       a_run[static_cast<size_t>(e)] = to_matrix(spd[static_cast<size_t>(e)].view());
       b_run[static_cast<size_t>(e)] = to_matrix(rhs[static_cast<size_t>(e)].view());
     }
-    batched::ExecutionContext ctx(backend);
+    batched::ExecutionContext ctx(mode);
     std::vector<MatrixView> av;
     for (auto& m : a_run) av.push_back(m.view());
-    batched::batched_potrf(ctx, batched::kSampleStream, std::move(av));
+    ctx.device().potrf(ctx, batched::kSampleStream, std::move(av));
     std::vector<ConstMatrixView> lv;
     std::vector<MatrixView> bv;
     for (index_t e = 0; e < batch; ++e) {
       lv.push_back(a_run[static_cast<size_t>(e)].view());
       bv.push_back(b_run[static_cast<size_t>(e)].view());
     }
-    batched::batched_trsm_lower(ctx, batched::kSampleStream, batched::TrsmSide::Right,
-                                la::Op::Trans, std::move(lv), std::move(bv));
+    ctx.device().trsm_lower(ctx, batched::kSampleStream, backend::TrsmSide::Right, la::Op::Trans,
+                            std::move(lv), std::move(bv));
     ctx.sync_all();
     for (index_t e = 0; e < batch; ++e) {
       Matrix ref_l = to_matrix(spd_ref[static_cast<size_t>(e)].view());

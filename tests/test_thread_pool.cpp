@@ -15,8 +15,7 @@
 /// parallel regions (no fork/join), exception propagation through
 /// TaskGroup::wait and parallel_for, nested submission from inside tasks,
 /// and the determinism contract (identical visit sets for any width).
-/// Forced-width pools make the suite independent of the host's core count
-/// and of OpenMP availability.
+/// Forced-width pools make the suite independent of the host's core count.
 
 namespace h2sketch {
 namespace {
@@ -134,19 +133,12 @@ TEST(ThreadPool, ExternalWaitersHelpExecute) {
 
 TEST(ThreadPool, GlobalPoolFollowsNumThreads) {
   // The global pool's width is the num_threads() knob, re-read per region.
-  EXPECT_EQ(ThreadPool::global().width(), std::max(1, num_threads()));
-}
-
-TEST(ThreadPool, RuntimeModeToggleRoundTrips) {
-  ASSERT_EQ(runtime_mode(), RuntimeMode::Streams);
-  set_runtime_mode(RuntimeMode::FlatOpenMP);
-  EXPECT_EQ(runtime_mode(), RuntimeMode::FlatOpenMP);
-  // Flat mode must still compute correctly through the same entry point.
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](index_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  set_runtime_mode(RuntimeMode::Streams);
+  const int prev = num_threads();
+  EXPECT_EQ(ThreadPool::global().width(), prev);
+  set_num_threads(3);
+  EXPECT_EQ(ThreadPool::global().width(), 3);
+  set_num_threads(prev);
+  EXPECT_EQ(ThreadPool::global().width(), prev);
 }
 
 } // namespace
