@@ -19,8 +19,9 @@
 ///    never cross the boundary again; or
 ///  * **stage**: `stage(i, Matrix)` host blocks as they are produced and
 ///    `commit` once at the end — the compatibility path for single-pass
-///    host-side writers (Chebyshev construction, io load), costing one
-///    upload per block and leaving the host mirror warm.
+///    host-side writers (io load, the Chebyshev builder's small leaf bases
+///    and transfers), costing one upload per block and leaving the host
+///    mirror warm.
 ///
 /// Consumers that genuinely need host-side elements (densify, io save,
 /// entry evaluation) read the lazy mirror via `host(i)`: the block is

@@ -1,9 +1,13 @@
 #include "h2/cheb_construction.hpp"
 
-#include "backend/registry.hpp"
-
+#include <algorithm>
 #include <cmath>
+#include <deque>
 #include <numbers>
+#include <numeric>
+
+#include "batched/device.hpp"
+#include "kernels/entry_gen.hpp"
 
 namespace h2sketch::h2 {
 
@@ -132,56 +136,69 @@ H2Matrix build_cheb_h2(std::shared_ptr<const tree::ClusterTree> tree,
     }
   }
 
-  // Coupling blocks: kernel between the two grids.
+  // Coupling and near-field blocks are written straight into their arena
+  // slots by generate launches; only the small bases and transfers above
+  // are host-staged. The launches read `ids` and `gens`, so both are
+  // declared before the context whose destructor drains the launches.
+  // Table rows [b, b + n) of every generator are the subspan ids[b, b + n).
+  index_t max_grid_points = 0;
+  for (index_t l = 0; l < t.num_levels(); ++l)
+    max_grid_points = std::max(max_grid_points, t.nodes_at(l) * rank);
+  std::vector<index_t> ids(static_cast<size_t>(std::max(t.num_points(), max_grid_points)));
+  std::iota(ids.begin(), ids.end(), index_t{0});
+  const auto span_of = [&ids](index_t begin, index_t n) {
+    return const_index_span(ids).subspan(static_cast<size_t>(begin), static_cast<size_t>(n));
+  };
+  std::deque<kern::KernelEntryGenerator> gens;
+  batched::ExecutionContext ctx; // process default device
+  for (auto& lvl : a.basis) lvl.commit(ctx.device());
+
+  // Coupling blocks: kernel between two grids, one launch per level over
+  // the level's grid-point table (node i owns rows [i * rank, (i+1) * rank)).
   for (index_t l = 0; l < t.num_levels(); ++l) {
-    const auto& far = a.mtree.far[static_cast<size_t>(l)];
-    for (index_t s = 0; s < t.nodes_at(l); ++s) {
+    const auto ul = static_cast<size_t>(l);
+    const auto& far = a.mtree.far[ul];
+    if (far.count() == 0) continue;
+    for (index_t e = 0; e < far.count(); ++e) a.coupling[ul].set_shape(e, rank, rank);
+    a.coupling[ul].allocate(ctx.device());
+    std::vector<real_t> coords(static_cast<size_t>(t.nodes_at(l) * rank * dim));
+    for (index_t i = 0; i < t.nodes_at(l); ++i)
+      for (index_t m = 0; m < rank; ++m)
+        grids[ul][static_cast<size_t>(i)].point(
+            m, &coords[static_cast<size_t>((i * rank + m) * dim)]);
+    const kern::KernelEntryGenerator& gen = gens.emplace_back(std::move(coords), dim, kernel);
+    std::vector<kern::BlockRequest> reqs;
+    reqs.reserve(static_cast<size_t>(far.count()));
+    for (index_t s = 0; s < t.nodes_at(l); ++s)
       for (index_t j = 0; j < far.row_count(s); ++j) {
         const index_t e = far.row_ptr[static_cast<size_t>(s)] + j;
         const index_t c = far.col[static_cast<size_t>(e)];
-        const ChebGrid& gs = grids[static_cast<size_t>(l)][static_cast<size_t>(s)];
-        const ChebGrid& gc = grids[static_cast<size_t>(l)][static_cast<size_t>(c)];
-        Matrix b(rank, rank);
-        for (index_t mt = 0; mt < rank; ++mt) {
-          real_t y[3] = {0, 0, 0};
-          gc.point(mt, y);
-          for (index_t ms = 0; ms < rank; ++ms) {
-            real_t x[3] = {0, 0, 0};
-            gs.point(ms, x);
-            b(ms, mt) = kernel.evaluate(x, y, dim);
-          }
-        }
-        a.coupling[static_cast<size_t>(l)].stage(e, std::move(b));
+        reqs.push_back({span_of(s * rank, rank), span_of(c * rank, rank), a.coupling[ul].dev(e)});
       }
-    }
+    ctx.device().generate(ctx, batched::kEntryGenStream, gen, std::move(reqs));
   }
 
-  // Dense near field: exact kernel entries.
+  // Dense near field: exact kernel entries over the permuted points, one
+  // launch.
   const auto& near = a.mtree.near_leaf;
-  for (index_t s = 0; s < t.nodes_at(leaf); ++s) {
+  for (index_t s = 0; s < t.nodes_at(leaf); ++s)
+    for (index_t j = 0; j < near.row_count(s); ++j) {
+      const index_t e = near.row_ptr[static_cast<size_t>(s)] + j;
+      a.dense.set_shape(e, t.size(leaf, s), t.size(leaf, near.col[static_cast<size_t>(e)]));
+    }
+  a.dense.allocate(ctx.device());
+  const kern::KernelEntryGenerator& near_gen = gens.emplace_back(t, kernel);
+  std::vector<kern::BlockRequest> reqs;
+  reqs.reserve(static_cast<size_t>(near.count()));
+  for (index_t s = 0; s < t.nodes_at(leaf); ++s)
     for (index_t j = 0; j < near.row_count(s); ++j) {
       const index_t e = near.row_ptr[static_cast<size_t>(s)] + j;
       const index_t c = near.col[static_cast<size_t>(e)];
-      Matrix dmat(t.size(leaf, s), t.size(leaf, c));
-      for (index_t jj = 0; jj < dmat.cols(); ++jj) {
-        real_t y[3] = {0, 0, 0};
-        for (index_t d = 0; d < dim; ++d) y[d] = t.coord_permuted(t.begin(leaf, c) + jj, d);
-        for (index_t ii = 0; ii < dmat.rows(); ++ii) {
-          real_t x[3] = {0, 0, 0};
-          for (index_t d = 0; d < dim; ++d) x[d] = t.coord_permuted(t.begin(leaf, s) + ii, d);
-          dmat(ii, jj) = kernel.evaluate(x, y, dim);
-        }
-      }
-      a.dense.stage(e, std::move(dmat));
+      reqs.push_back({span_of(t.begin(leaf, s), t.size(leaf, s)),
+                      span_of(t.begin(leaf, c), t.size(leaf, c)), a.dense.dev(e)});
     }
-  }
-
-  // Host-side writer: commit each staged arena to the process default
-  // device (one allocation + upload per level; mirrors stay warm).
-  backend::DeviceBackend& dev = *backend::default_backend().device;
-  for (auto& lvl : a.basis) lvl.commit(dev);
-  for (auto& lvl : a.coupling) lvl.commit(dev);
-  a.dense.commit(dev);
+  ctx.device().generate(ctx, batched::kEntryGenStream, near_gen, std::move(reqs));
+  ctx.sync_all();
 
   a.validate();
   return a;

@@ -12,6 +12,16 @@
 /// Chebyshev grid, transfer matrices interpolate child grids in parent
 /// bases, and coupling blocks are kernel evaluations between grids.
 ///
+/// The build is batched and write-through, the same shape as the sketching
+/// builder's near field: every coupling and near-field slot gets its shape,
+/// each arena is allocated once, and the blocks are generated straight into
+/// the arena slots — one `generate` launch per level for the couplings
+/// (a `KernelEntryGenerator` over the level's grid-point table, node i
+/// owning rows [i r, (i+1) r)) and one for the near field (over the tree's
+/// permuted points), run on a local context over the process default
+/// device. Only the small leaf bases and transfers are host-staged and
+/// committed. Every block is bitwise independent of the pool width.
+///
 /// Role in this repo: the paper uses an existing H2Opus-built H2 matrix as
 /// the black-box sampler Kblk for the covariance/IE experiments; this
 /// construction provides that input operator independently of the sketching

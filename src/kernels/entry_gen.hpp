@@ -41,19 +41,27 @@ class EntryGenerator {
   mutable std::atomic<index_t> entries_{0};
 };
 
-/// Entry generator for a kernel matrix on clustered geometry:
-/// K(i, j) = kernel(points[perm[i]], points[perm[j]]).
-/// Caches permuted coordinates contiguously for locality.
+/// Point-major coordinates of the tree's points in permuted position order
+/// (row p holds the `tree.dim()` coordinates of permuted position p).
+std::vector<real_t> permuted_coordinates(const tree::ClusterTree& tree);
+
+/// Entry generator for a kernel matrix over a contiguous coordinate table:
+/// K(i, j) = kernel(coords[i], coords[j]). Each block costs one
+/// `KernelFunction::evaluate_block` call per column.
 class KernelEntryGenerator final : public EntryGenerator {
  public:
+  /// Over the tree's points: index i is permuted position i.
   KernelEntryGenerator(const tree::ClusterTree& tree, const KernelFunction& kernel);
+  /// Over an arbitrary point-major table of `dim` coordinates per point
+  /// (grid points, cluster points extended by proxy points, ...).
+  KernelEntryGenerator(std::vector<real_t> coords, index_t dim, const KernelFunction& kernel);
 
   void generate_block(const_index_span rows, const_index_span cols, MatrixView out) const override;
 
  private:
   const KernelFunction* kernel_;
   index_t dim_;
-  std::vector<real_t> coords_; ///< permuted-position-major coordinates
+  std::vector<real_t> coords_; ///< point-major coordinates
 };
 
 /// Entry generator reading from an explicit dense matrix (already permuted):

@@ -14,6 +14,8 @@ class ExponentialKernel final : public KernelFunction {
  public:
   explicit ExponentialKernel(real_t correlation_length = 0.2) : l_(correlation_length) {}
   real_t evaluate(const real_t* x, const real_t* y, index_t dim) const override;
+  void evaluate_block(const real_t* coords, const_index_span rows, const real_t* y, index_t dim,
+                      real_t* out) const override;
   std::string name() const override { return "exponential"; }
 
  private:
@@ -28,6 +30,8 @@ class HelmholtzCosKernel final : public KernelFunction {
  public:
   explicit HelmholtzCosKernel(real_t k = 3.0, real_t diagonal = 0.0);
   real_t evaluate(const real_t* x, const real_t* y, index_t dim) const override;
+  void evaluate_block(const real_t* coords, const_index_span rows, const real_t* y, index_t dim,
+                      real_t* out) const override;
   std::string name() const override { return "helmholtz_cos"; }
 
  private:
@@ -40,6 +44,8 @@ class GaussianKernel final : public KernelFunction {
  public:
   explicit GaussianKernel(real_t correlation_length = 0.2) : l_(correlation_length) {}
   real_t evaluate(const real_t* x, const real_t* y, index_t dim) const override;
+  void evaluate_block(const real_t* coords, const_index_span rows, const real_t* y, index_t dim,
+                      real_t* out) const override;
   std::string name() const override { return "gaussian"; }
 
  private:
@@ -51,6 +57,8 @@ class Matern32Kernel final : public KernelFunction {
  public:
   explicit Matern32Kernel(real_t correlation_length = 0.2) : l_(correlation_length) {}
   real_t evaluate(const real_t* x, const real_t* y, index_t dim) const override;
+  void evaluate_block(const real_t* coords, const_index_span rows, const real_t* y, index_t dim,
+                      real_t* out) const override;
   std::string name() const override { return "matern32"; }
 
  private:
@@ -66,6 +74,8 @@ class RidgeKernel final : public KernelFunction {
   /// The base kernel must outlive the decorator.
   RidgeKernel(const KernelFunction& base, real_t sigma) : base_(&base), sigma_(sigma) {}
   real_t evaluate(const real_t* x, const real_t* y, index_t dim) const override;
+  void evaluate_block(const real_t* coords, const_index_span rows, const real_t* y, index_t dim,
+                      real_t* out) const override;
   std::string name() const override { return base_->name() + "+ridge"; }
 
  private:
@@ -80,6 +90,8 @@ class Laplace3dKernel final : public KernelFunction {
  public:
   explicit Laplace3dKernel(real_t diagonal) : diagonal_(diagonal) {}
   real_t evaluate(const real_t* x, const real_t* y, index_t dim) const override;
+  void evaluate_block(const real_t* coords, const_index_span rows, const real_t* y, index_t dim,
+                      real_t* out) const override;
   std::string name() const override { return "laplace_3d"; }
 
  private:

@@ -21,51 +21,12 @@ namespace h2sketch::kern {
 
 namespace {
 
-/// Entry generator over the cluster points *extended by proxy points*:
-/// indices < N address permuted cluster positions (so skeleton/leaf index
-/// sets work unchanged), indices >= N address proxy points appended with
-/// add_point. All proxy points are appended before the first generate call,
-/// so the coordinate table is stable across launches.
-class ProxyEntryGenerator final : public EntryGenerator {
- public:
-  ProxyEntryGenerator(const tree::ClusterTree& tree, const KernelFunction& kernel)
-      : kernel_(&kernel), dim_(tree.dim()), n_(tree.num_points()) {
-    coords_.resize(static_cast<size_t>(n_ * dim_));
-    for (index_t p = 0; p < n_; ++p)
-      for (index_t d = 0; d < dim_; ++d)
-        coords_[static_cast<size_t>(p * dim_ + d)] = tree.coord_permuted(p, d);
-  }
-
-  /// Append a proxy point; returns its extended index (>= N).
-  index_t add_point(const real_t* x) {
-    for (index_t d = 0; d < dim_; ++d) coords_.push_back(x[d]);
-    return n_ + num_proxy_++;
-  }
-
-  index_t num_proxy() const { return num_proxy_; }
-
-  void generate_block(const_index_span rows, const_index_span cols,
-                      MatrixView out) const override {
-    H2S_CHECK(out.rows == static_cast<index_t>(rows.size()) &&
-                  out.cols == static_cast<index_t>(cols.size()),
-              "generate_block: shape mismatch");
-    for (index_t j = 0; j < out.cols; ++j) {
-      const real_t* yc = &coords_[static_cast<size_t>(cols[static_cast<size_t>(j)] * dim_)];
-      for (index_t i = 0; i < out.rows; ++i) {
-        const real_t* xc = &coords_[static_cast<size_t>(rows[static_cast<size_t>(i)] * dim_)];
-        out(i, j) = kernel_->evaluate(xc, yc, dim_);
-      }
-    }
-    record_entries(out.rows * out.cols);
-  }
-
- private:
-  const KernelFunction* kernel_;
-  index_t dim_;
-  index_t n_;
-  index_t num_proxy_ = 0;
-  std::vector<real_t> coords_; ///< cluster coords then proxy coords, point-major
-};
+/// Append point x to a point-major coordinate table; returns its index.
+index_t append_point(std::vector<real_t>& coords, const real_t* x, index_t dim) {
+  const index_t idx = static_cast<index_t>(coords.size()) / dim;
+  coords.insert(coords.end(), x, x + dim);
+  return idx;
+}
 
 /// Proxy count per shell for a given tolerance and dimension: H2Pack's
 /// surface-density heuristic (6 q^2 on a sphere with q decimal digits of
@@ -78,10 +39,10 @@ index_t auto_points_per_shell(real_t tol, index_t dim) {
   return 2;
 }
 
-/// Append one shell of radius r around center c to the generator; collects
-/// the extended indices. Shell s gets a deterministic angular offset so
-/// consecutive shells don't stack points along the same rays.
-void add_shell(ProxyEntryGenerator& pgen, const real_t* c, real_t r, index_t m, index_t dim,
+/// Append one shell of radius r around center c to the coordinate table;
+/// collects the new points' indices. Shell s gets a deterministic angular
+/// offset so consecutive shells don't stack points along the same rays.
+void add_shell(std::vector<real_t>& coords, const real_t* c, real_t r, index_t m, index_t dim,
                index_t shell, std::vector<index_t>& out) {
   const real_t ga = std::numbers::pi * (3.0 - std::sqrt(5.0)); // golden angle
   real_t x[3] = {0, 0, 0};
@@ -94,7 +55,7 @@ void add_shell(ProxyEntryGenerator& pgen, const real_t* c, real_t r, index_t m, 
       x[0] = c[0] + r * rho * std::cos(phi);
       x[1] = c[1] + r * rho * std::sin(phi);
       x[2] = c[2] + r * z;
-      out.push_back(pgen.add_point(x));
+      out.push_back(append_point(coords, x, dim));
     }
   } else if (dim == 2) {
     for (index_t i = 0; i < m; ++i) {
@@ -103,13 +64,13 @@ void add_shell(ProxyEntryGenerator& pgen, const real_t* c, real_t r, index_t m, 
                          ga * static_cast<real_t>(shell);
       x[0] = c[0] + r * std::cos(phi);
       x[1] = c[1] + r * std::sin(phi);
-      out.push_back(pgen.add_point(x));
+      out.push_back(append_point(coords, x, dim));
     }
   } else {
     x[0] = c[0] - r;
-    out.push_back(pgen.add_point(x));
+    out.push_back(append_point(coords, x, dim));
     x[0] = c[0] + r;
-    out.push_back(pgen.add_point(x));
+    out.push_back(append_point(coords, x, dim));
   }
 }
 
@@ -155,14 +116,17 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
   surrogate_.mtree = tree::MatrixTree::build(t, tree::Admissibility::general(opts.eta));
   surrogate_.init_structure();
 
-  ProxyEntryGenerator pgen(t, kernel);
+  // The generator's coordinate table: the permuted cluster points (indices
+  // < N, so skeleton/leaf index sets work unchanged) followed by the proxy
+  // points (indices >= N).
+  std::vector<real_t> coords = permuted_coordinates(t);
 
   // Proxy geometry for every node that carries a basis (levels leaf..1):
   // num_shells concentric shells from just inside the admissibility buffer
   // (no admissible source can be closer than ~diameter/(2 eta) to the box)
   // out to the radius enclosing the whole domain. Pure geometry — laid out
-  // for all levels before the first launch: add_shell grows the coordinate
-  // table that every generate launch reads, so it must be frozen first.
+  // for all levels before the generator takes ownership of the table that
+  // every generate launch reads.
   const bool has_far = surrogate_.mtree.has_any_far();
   const index_t per_shell =
       opts.points_per_shell > 0 ? opts.points_per_shell : auto_points_per_shell(opts.tol, dim);
@@ -187,11 +151,12 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
                              ? static_cast<real_t>(s) / static_cast<real_t>(opts.num_shells - 1)
                              : real_t(0);
         const real_t r = r_inner * std::pow(r_outer / r_inner, f);
-        add_shell(pgen, c, r, per_shell, dim, s, idx);
+        add_shell(coords, c, r, per_shell, dim, s, idx);
       }
     }
   }
-  proxy_points_ = pgen.num_proxy();
+  proxy_points_ = static_cast<index_t>(coords.size()) / dim - t.num_points();
+  const KernelEntryGenerator pgen(std::move(coords), dim, kernel);
 
   // Exact near field: its Frobenius mass anchors the ID threshold.
   std::vector<std::vector<index_t>> leaf_positions(static_cast<size_t>(t.nodes_at(leaf)));

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <numbers>
+#include <optional>
 
+#include "backend/registry.hpp"
+#include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "h2/cheb_construction.hpp"
 #include "h2/h2_dense.hpp"
@@ -102,6 +107,181 @@ TEST(ChebH2Single, HelmholtzKernelAlsoCompresses) {
   const H2Matrix a = build_cheb_h2(tr, tree::Admissibility::general(0.7), k, 5);
   const Matrix kd = dense_kernel_matrix(*tr, k);
   EXPECT_LT(rel_fro_error(densify(a).view(), kd.view()), 5e-3);
+}
+
+/// Per-entry reference for build_cheb_h2, written out independently of the
+/// batched build: 1D Chebyshev-Gauss nodes per box dimension, tensor
+/// Lagrange bases, and one kernel.evaluate call per coupling/near entry.
+class ChebReference {
+ public:
+  ChebReference(const tree::ClusterTree& t, index_t level, index_t node, index_t q)
+      : q_(q), dim_(t.dim()) {
+    const geo::BoundingBox& box = t.box(level, node);
+    for (index_t d = 0; d < dim_; ++d) {
+      const real_t lo = box.lo[static_cast<size_t>(d)], hi = box.hi[static_cast<size_t>(d)];
+      const real_t c = 0.5 * (lo + hi);
+      const real_t h = std::max(0.5 * (hi - lo), 1e-8 * (1.0 + std::abs(c)));
+      std::vector<real_t> x(static_cast<size_t>(q));
+      for (index_t m = 0; m < q; ++m)
+        x[static_cast<size_t>(m)] =
+            c + h * std::cos(std::numbers::pi * (2.0 * m + 1.0) / (2.0 * q));
+      nodes_.push_back(std::move(x));
+    }
+  }
+  index_t rank() const { return static_cast<index_t>(std::pow(q_, dim_) + 0.5); }
+  void point(index_t m, real_t* out) const {
+    for (index_t d = 0; d < dim_; ++d, m /= q_)
+      out[d] = nodes_[static_cast<size_t>(d)][static_cast<size_t>(m % q_)];
+  }
+  real_t basis(index_t m, const real_t* x) const {
+    real_t v = 1.0;
+    for (index_t d = 0; d < dim_; ++d, m /= q_) {
+      const auto& nd = nodes_[static_cast<size_t>(d)];
+      const auto k0 = static_cast<size_t>(m % q_);
+      real_t l = 1.0;
+      for (size_t k = 0; k < nd.size(); ++k)
+        if (k != k0) l *= (x[d] - nd[k]) / (nd[k0] - nd[k]);
+      v *= l;
+    }
+    return v;
+  }
+
+ private:
+  index_t q_;
+  index_t dim_;
+  std::vector<std::vector<real_t>> nodes_;
+};
+
+/// Every block of a Chebyshev H2, computed entry by entry.
+struct ChebBlocks {
+  std::vector<std::vector<Matrix>> basis, coupling; ///< [level][node / far block]
+  std::vector<Matrix> dense;
+};
+
+ChebBlocks reference_cheb_blocks(const H2Matrix& a, const kern::KernelFunction& k, index_t q) {
+  const tree::ClusterTree& t = *a.tree;
+  const index_t dim = t.dim(), leaf = t.leaf_level();
+  const auto grid = [&](index_t l, index_t i) { return ChebReference(t, l, i, q); };
+  const auto coords = [&](index_t pos, real_t* x) {
+    for (index_t d = 0; d < dim; ++d) x[d] = t.coord_permuted(pos, d);
+  };
+  ChebBlocks ref;
+  ref.basis.resize(static_cast<size_t>(t.num_levels()));
+  ref.coupling.resize(static_cast<size_t>(t.num_levels()));
+  for (index_t l = 0; l < t.num_levels(); ++l) {
+    for (index_t i = 0; i < t.nodes_at(l); ++i) {
+      const ChebReference g = grid(l, i);
+      const index_t r = g.rank();
+      Matrix b(l == leaf ? t.size(l, i) : 2 * r, r);
+      for (index_t p = 0; p < b.rows(); ++p) {
+        real_t x[3] = {0, 0, 0};
+        if (l == leaf)
+          coords(t.begin(l, i) + p, x);
+        else
+          grid(l + 1, 2 * i + p / r).point(p % r, x);
+        for (index_t m = 0; m < r; ++m) b(p, m) = g.basis(m, x);
+      }
+      ref.basis[static_cast<size_t>(l)].push_back(std::move(b));
+    }
+    const auto& far = a.mtree.far[static_cast<size_t>(l)];
+    for (index_t s = 0; s < t.nodes_at(l); ++s)
+      for (index_t e = far.row_ptr[static_cast<size_t>(s)];
+           e < far.row_ptr[static_cast<size_t>(s) + 1]; ++e) {
+        const ChebReference gs = grid(l, s), gc = grid(l, far.col[static_cast<size_t>(e)]);
+        Matrix b(gs.rank(), gc.rank());
+        for (index_t mt = 0; mt < b.cols(); ++mt)
+          for (index_t ms = 0; ms < b.rows(); ++ms) {
+            real_t x[3] = {0, 0, 0}, y[3] = {0, 0, 0};
+            gs.point(ms, x);
+            gc.point(mt, y);
+            b(ms, mt) = k.evaluate(x, y, dim);
+          }
+        ref.coupling[static_cast<size_t>(l)].push_back(std::move(b));
+      }
+  }
+  const auto& near = a.mtree.near_leaf;
+  for (index_t s = 0; s < t.nodes_at(leaf); ++s)
+    for (index_t e = near.row_ptr[static_cast<size_t>(s)];
+         e < near.row_ptr[static_cast<size_t>(s) + 1]; ++e) {
+      const index_t c = near.col[static_cast<size_t>(e)];
+      Matrix b(t.size(leaf, s), t.size(leaf, c));
+      for (index_t jj = 0; jj < b.cols(); ++jj)
+        for (index_t ii = 0; ii < b.rows(); ++ii) {
+          real_t x[3] = {0, 0, 0}, y[3] = {0, 0, 0};
+          coords(t.begin(leaf, s) + ii, x);
+          coords(t.begin(leaf, c) + jj, y);
+          b(ii, jj) = k.evaluate(x, y, dim);
+        }
+      ref.dense.push_back(std::move(b));
+    }
+  return ref;
+}
+
+/// Bitwise block equality (distinguishes -0.0 and NaN payloads).
+::testing::AssertionResult same_bits(const Matrix& got, const Matrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols())
+    return ::testing::AssertionFailure() << "shape " << got.rows() << "x" << got.cols()
+                                         << " vs " << want.rows() << "x" << want.cols();
+  for (index_t j = 0; j < got.cols(); ++j)
+    for (index_t i = 0; i < got.rows(); ++i)
+      if (std::bit_cast<std::uint64_t>(got(i, j)) != std::bit_cast<std::uint64_t>(want(i, j)))
+        return ::testing::AssertionFailure()
+               << "(" << i << "," << j << "): " << got(i, j) << " vs " << want(i, j);
+  return ::testing::AssertionSuccess();
+}
+
+/// Device bytes of an arena laid out by host staging: the layout the
+/// batched build's write-through arenas must reproduce.
+std::size_t staged_bytes(const std::vector<Matrix>& blocks) {
+  backend::BlockArena arena;
+  arena.reset(static_cast<index_t>(blocks.size()));
+  for (size_t i = 0; i < blocks.size(); ++i)
+    arena.stage(static_cast<index_t>(i), to_matrix(blocks[i].view()));
+  arena.commit(*backend::default_backend().device);
+  return arena.device_bytes();
+}
+
+TEST(ChebH2Reference, EveryBlockIsBitwiseThePerEntryReferenceAtWidths124) {
+  const int saved_width = num_threads();
+  const kern::ExponentialKernel exp_kernel(0.2);
+  const kern::HelmholtzCosKernel helmholtz(3.0);
+  for (index_t dim : {2, 3}) {
+    auto tr = test_util::build_cube_tree(dim == 2 ? 400 : 600, dim, 40 + dim, 32);
+    for (const kern::KernelFunction* k :
+         {static_cast<const kern::KernelFunction*>(&exp_kernel),
+          static_cast<const kern::KernelFunction*>(&helmholtz)}) {
+      SCOPED_TRACE(k->name() + " dim " + std::to_string(dim));
+      std::optional<ChebBlocks> ref;
+      std::size_t ref_bytes = 0;
+      for (int width : {1, 2, 4}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        set_num_threads(width);
+        const H2Matrix a = build_cheb_h2(tr, tree::Admissibility::general(0.7), *k, 3);
+        ASSERT_TRUE(a.mtree.has_any_far());
+        if (!ref) {
+          ref = reference_cheb_blocks(a, *k, 3);
+          for (size_t l = 0; l < ref->basis.size(); ++l)
+            ref_bytes += staged_bytes(ref->basis[l]) + staged_bytes(ref->coupling[l]);
+          ref_bytes += staged_bytes(ref->dense);
+        }
+        for (size_t l = 0; l < ref->basis.size(); ++l) {
+          for (size_t i = 0; i < ref->basis[l].size(); ++i)
+            ASSERT_TRUE(same_bits(a.basis[l].host(static_cast<index_t>(i)), ref->basis[l][i]))
+                << "basis/transfer level " << l << " node " << i;
+          ASSERT_EQ(a.coupling[l].count(), static_cast<index_t>(ref->coupling[l].size()));
+          for (size_t e = 0; e < ref->coupling[l].size(); ++e)
+            ASSERT_TRUE(same_bits(a.coupling[l].host(static_cast<index_t>(e)), ref->coupling[l][e]))
+                << "coupling level " << l << " block " << e;
+        }
+        ASSERT_EQ(a.dense.count(), static_cast<index_t>(ref->dense.size()));
+        for (size_t e = 0; e < ref->dense.size(); ++e)
+          ASSERT_TRUE(same_bits(a.dense.host(static_cast<index_t>(e)), ref->dense[e]))
+              << "near block " << e;
+        EXPECT_EQ(a.device_bytes(), ref_bytes);
+      }
+    }
+  }
+  set_num_threads(saved_width);
 }
 
 TEST(H2Sampler, CountsSamplesAndMatchesMatvec) {

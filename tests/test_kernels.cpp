@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "batched/device.hpp"
 #include "common/random.hpp"
@@ -55,6 +58,82 @@ TEST(Kernels, LaplaceSingularityGuardedByDiagonal) {
   EXPECT_DOUBLE_EQ(k.evaluate(x, x, 3), 42.0);
   const real_t y[3] = {0.25, 0.5, 1.75};
   EXPECT_DOUBLE_EQ(k.evaluate(x, y, 3), 1.0);
+}
+
+/// A kernel without an evaluate_block override: exercises the default loop.
+class PlainKernel final : public KernelFunction {
+ public:
+  real_t evaluate(const real_t* x, const real_t* y, index_t dim) const override {
+    return x[0] - 2.0 * y[dim - 1];
+  }
+  std::string name() const override { return "plain"; }
+};
+
+TEST(Kernels, EvaluateBlockIsBitwiseEvaluateIncludingCoincidentPoints) {
+  const ExponentialKernel expk(0.2);
+  const HelmholtzCosKernel helmholtz(3.0);
+  const GaussianKernel gauss(0.2);
+  const Matern32Kernel matern(0.2);
+  const RidgeKernel ridge(expk, 0.125);
+  const Laplace3dKernel laplace(42.0);
+  const PlainKernel plain;
+  const KernelFunction* kernels[] = {&expk, &helmholtz, &gauss, &matern, &ridge, &laplace, &plain};
+  SmallRng rng(31);
+  for (index_t dim : {1, 2, 3}) {
+    // 40 random points, then exact duplicates of points 0 and 7: the r == 0
+    // diagonal branches and the ridge's x == y shift must fire in blocks too.
+    const index_t n = 42;
+    std::vector<real_t> coords(static_cast<size_t>(n * dim));
+    for (index_t p = 0; p < 40; ++p)
+      for (index_t d = 0; d < dim; ++d)
+        coords[static_cast<size_t>(p * dim + d)] = rng.next_real() - 0.25;
+    for (index_t d = 0; d < dim; ++d) {
+      coords[static_cast<size_t>(40 * dim + d)] = coords[static_cast<size_t>(d)];
+      coords[static_cast<size_t>(41 * dim + d)] = coords[static_cast<size_t>(7 * dim + d)];
+    }
+    std::vector<index_t> rows = {3, 0, 40, 7, 41, 12, 0, 39};
+    for (const KernelFunction* k : kernels) {
+      SCOPED_TRACE(k->name() + " dim " + std::to_string(dim));
+      index_t coincident = 0;
+      for (index_t c : {0, 7, 40, 41, 25}) {
+        const real_t* y = &coords[static_cast<size_t>(c * dim)];
+        std::vector<real_t> out(rows.size(), -1.0);
+        k->evaluate_block(coords.data(), rows, y, dim, out.data());
+        for (size_t i = 0; i < rows.size(); ++i) {
+          const real_t* x = &coords[static_cast<size_t>(rows[i] * dim)];
+          const real_t want = k->evaluate(x, y, dim);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]), std::bit_cast<std::uint64_t>(want))
+              << "row " << rows[i] << " col " << c << ": " << out[i] << " vs " << want;
+          if (std::equal(x, x + dim, y)) ++coincident;
+        }
+      }
+      EXPECT_GT(coincident, 0);
+    }
+  }
+  // The coincident cases hit the special values, not the generic formula.
+  const real_t p[3] = {0.1, 0.2, 0.3};
+  const std::vector<index_t> self = {0};
+  real_t v = 0;
+  helmholtz.evaluate_block(p, self, p, 3, &v);
+  EXPECT_EQ(v, 6.0);
+  laplace.evaluate_block(p, self, p, 3, &v);
+  EXPECT_EQ(v, 42.0);
+  ridge.evaluate_block(p, self, p, 3, &v);
+  EXPECT_EQ(v, 1.125);
+}
+
+TEST(KernelEntryGenerator, CoordinateTableConstructorMatchesTreeConstructor) {
+  auto tr = test_util::build_cube_tree(90, 3, 9, 16);
+  const HelmholtzCosKernel k(3.0);
+  const KernelEntryGenerator from_tree(*tr, k);
+  const KernelEntryGenerator from_table(permuted_coordinates(*tr), tr->dim(), k);
+  std::vector<index_t> rows = {0, 5, 44, 89, 5}, cols = {5, 17, 0, 88};
+  Matrix a(5, 4), b(5, 4);
+  from_tree.generate_block(rows, cols, a.view());
+  from_table.generate_block(rows, cols, b.view());
+  EXPECT_EQ(max_abs_diff(a.view(), b.view()), 0.0);
+  EXPECT_EQ(a(1, 0), 6.0); // coincident pair: the Helmholtz diagonal
+  EXPECT_EQ(from_table.entries_generated(), 20);
 }
 
 class EntryGenFixture : public ::testing::Test {
