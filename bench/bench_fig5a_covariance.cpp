@@ -4,7 +4,6 @@
 /// top-down sketching comparators, annotating total sample counts as the
 /// paper does. Default axes are laptop-scale; --large restores the paper's.
 
-#include "baselines/peeling_hodlr.hpp"
 #include "baselines/topdown.hpp"
 #include "bench_common.hpp"
 
@@ -58,7 +57,7 @@ int main(int argc, char** argv) {
       pd.tol = 1e-6;
       pd.sample_block = 64;
       pd.max_block_rank = 768;
-      auto rp = baselines::build_peeling_hodlr(w.tree, s2, pd);
+      auto rp = baselines::build_topdown_hmatrix(w.tree, tree::Admissibility::weak(), s2, pd);
       peeling_s = fmt(rp.stats.seconds);
       peeling_samples = fmt(rp.stats.total_samples);
       peeling_capped = rp.stats.rank_cap_hit ? "yes" : "no";

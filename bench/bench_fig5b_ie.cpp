@@ -2,7 +2,6 @@
 /// integral-equation matrix (cos(k r)/r, k = 3, eta = 0.7, tol = 1e-6).
 /// Same comparison set as Fig. 5(a).
 
-#include "baselines/peeling_hodlr.hpp"
 #include "baselines/topdown.hpp"
 #include "bench_common.hpp"
 
@@ -56,7 +55,7 @@ int main(int argc, char** argv) {
       pd.tol = 1e-6;
       pd.sample_block = 64;
       pd.max_block_rank = 768;
-      auto rp = baselines::build_peeling_hodlr(w.tree, s2, pd);
+      auto rp = baselines::build_topdown_hmatrix(w.tree, tree::Admissibility::weak(), s2, pd);
       peeling_s = fmt(rp.stats.seconds);
       peeling_samples = fmt(rp.stats.total_samples);
       peeling_capped = rp.stats.rank_cap_hit ? "yes" : "no";

@@ -6,10 +6,10 @@
 /// use the DtN-like synthetic separator kernel. As in the paper, the
 /// sketching operator here is a full dense matrix.
 
-#include "baselines/hss.hpp"
-#include "baselines/peeling_hodlr.hpp"
+#include "baselines/topdown.hpp"
 #include "bench_common.hpp"
 #include "kernels/dense_sampler.hpp"
+#include "solver/hss_construction.hpp"
 #include "sparse/multifrontal.hpp"
 #include "sparse/synthetic_front.hpp"
 
@@ -95,13 +95,14 @@ int main(int argc, char** argv) {
     const real_t err = core::relative_error_2norm(fresh, approx, 10);
 
     kern::DenseMatrixSampler s_hss(fc.dense.view());
-    auto r_hss = baselines::construct_hss(fc.tr, s_hss, gen, opts);
+    auto r_hss = solver::build_hss(fc.tr, s_hss, gen, opts);
 
     kern::DenseMatrixSampler s_hodlr(fc.dense.view());
     baselines::TopDownOptions td;
     td.tol = 1e-6;
     td.sample_block = 32;
-    auto r_hodlr = baselines::build_peeling_hodlr(fc.tr, s_hodlr, td);
+    auto r_hodlr =
+        baselines::build_topdown_hmatrix(fc.tr, tree::Admissibility::weak(), s_hodlr, td);
 
     const std::size_t dense_bytes = static_cast<std::size_t>(n) * n * sizeof(real_t);
     table.row({fc.name, fmt(n), fmt_mb(dense_bytes), fmt_mb(r_h2.stats.memory_bytes),

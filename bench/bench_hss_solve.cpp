@@ -8,16 +8,20 @@
 /// Results go to BENCH_hss_solve.json: per-N HSS build/ULV factor/solve
 /// seconds, solve residual (measured against the exact operator via the
 /// O(N^2) on-the-fly kernel apply), memory, and the dense Cholesky
-/// factor/solve reference where it fits. `--smoke` runs a tiny problem for
-/// the CI sanitizer sweep; `--large` adds the N = 8192 row.
+/// factor/solve reference where it fits, stamped with the host's hardware
+/// threads and the pool width (`threads`, set by H2SKETCH_NUM_THREADS).
+/// `--smoke` runs a tiny problem for the CI sanitizer sweep; `--large` adds
+/// the N = 8192 row.
 
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "geometry/point_cloud.hpp"
 #include "kernels/dense_sampler.hpp"
@@ -160,7 +164,9 @@ int main(int argc, char** argv) {
   const char* json_name = smoke ? "BENCH_hss_solve_smoke.json" : "BENCH_hss_solve.json";
   std::ofstream json(json_name);
   json << "{\n  \"bench\": \"hss_solve\",\n  \"mode\": \"" << (smoke ? "smoke" : "full")
-       << "\",\n  \"workload\": \"2D cloud, exponential kernel (l=0.2) + ridge 10 "
+       << "\",\n  \"hardware_threads\": " << std::thread::hardware_concurrency()
+       << ",\n  \"threads\": " << num_threads()
+       << ",\n  \"workload\": \"2D cloud, exponential kernel (l=0.2) + ridge 10 "
        << "(regularized GP covariance), tol=1e-6, leaf=64\",\n  \"residual_metric\": "
        << "\"||K x - b|| / ||b|| against the exact operator via O(N^2) kernel apply\","
        << "\n  \"runs\": [\n";

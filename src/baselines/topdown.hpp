@@ -10,11 +10,17 @@
 /// H-matrix via graph-colored peeling — the stand-in for the paper's two
 /// comparators:
 ///
-///  * With *weak* admissibility this is the classic peeling construction
-///    through a HODLR partitioning (Lin, Lu & Ying [22]), the algorithm
-///    inside H2Opus's top-down GPU builder. For 3D kernels its off-diagonal
-///    ranks grow with N, so its sample count explodes — the reason H2Opus
-///    needed up to 18920 samples and ran out of memory (paper §V-B).
+///  * With *weak* admissibility (`tree::Admissibility::weak()`) this is the
+///    classic peeling construction through a HODLR partitioning (Lin, Lu &
+///    Ying [22]), the algorithm inside H2Opus's top-down GPU builder and the
+///    H2Opus-comparator stand-in. The paper (§V-B) observes that this
+///    top-down construction "requires a temporary weak-admissible
+///    representation (HODLR), hence requires much more number of random
+///    vectors (up to 18920) for 3D problems, causing the code to memory
+///    crash for larger problems". This builder exhibits that mechanism: for
+///    3D kernels the HODLR off-diagonal ranks grow with N, so the adaptive
+///    sample count grows with N and eventually hits `max_block_rank`
+///    (`rank_cap_hit`, the analogue of the OOM).
 ///  * With *general* (strong) admissibility this is a graph-coloring
 ///    randomized H construction in the spirit of Levitt & Martinsson [23]
 ///    (ButterflyPACK): per level, column clusters are colored so that no

@@ -300,6 +300,11 @@ ConstructionResult construct_h2(std::shared_ptr<const tree::ClusterTree> tree,
                                 const kern::EntryGenerator& gen, const ConstructionOptions& opts,
                                 batched::ExecutionContext& ctx) {
   detail::H2SketchBuilder builder(std::move(tree), adm, sampler, gen, opts, ctx);
+  // The builder's launches reference its sampling panels and position
+  // lists; if construction unwinds (e.g. an injected device fault), drain
+  // the streams before the builder -- declared above the fence -- is
+  // destroyed.
+  batched::StreamFence fence(ctx);
   return builder.run();
 }
 

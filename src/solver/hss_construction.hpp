@@ -11,25 +11,22 @@
 #include "solver/hss_matrix.hpp"
 
 /// \file hss_construction.hpp
-/// Genuine bottom-up sketching-based HSS construction (Martinsson 2011, the
-/// paper's reference [29]) producing the dedicated HssMatrix storage — the
-/// weak-admissibility algorithm the paper extends to strongly-admissible H2.
+/// Sketching-based HSS construction (Martinsson 2011, the paper's reference
+/// [29]) producing the dedicated HssMatrix storage the ULV solver consumes.
 ///
-/// Same black-box inputs as Algorithm 1 (a sketching operator Y = K Omega
-/// and a batched entry generator), same adaptive sampling loop, but the
-/// weak-admissibility structure is hard-wired: the only near-field blocks
-/// are the leaf diagonals and every level carries exactly one coupling block
-/// per sibling pair. Processing runs level by level from the leaves on
-/// ExecutionContext streams:
-///   1. assemble local samples Y_loc (subtract the leaf diagonal at the
-///      leaves, the child pair coupling above);
-///   2. adaptively add sample rounds until every node passes the
-///      min |diag R| convergence probe, replaying new columns through the
-///      completed levels;
-///   3. batched row-ID the samples into generators (U at leaves, stacked
-///      transfers above) and skeleton indices;
-///   4. sweep samples and random vectors up;
-///   5. evaluate the sibling-pair coupling blocks at the skeletons.
+/// The paper presents Algorithm 1 as the extension of this construction to
+/// strongly-admissible H2, so HSS is Algorithm 1 under weak admissibility:
+/// build_hss runs core::construct_h2 with tree::Admissibility::weak() (same
+/// black-box sampler, entry generator, adaptive sampling loop, batched row
+/// ID and streams) and repacks the result. Under weak admissibility the
+/// near field is exactly the leaf diagonals and every node's far row holds
+/// only its sibling, so ranks, skeletons, bases (as generators) and the
+/// near field (as leaf_diag) move over unchanged, and each sibling pair
+/// (2p, 2p+1) keeps the coupling B(2p, 2p+1) of H2 far slot 2p.
+///
+/// Symmetric-operator contract: HssMatrix represents the (2p+1, 2p) block
+/// as B(2p, 2p+1)^T, so the operator must be symmetric (as every kernel of
+/// the library is); the H2 twin block B(2p+1, 2p) is dropped in the repack.
 
 namespace h2sketch::solver {
 
@@ -38,7 +35,8 @@ struct HssResult {
   core::ConstructionStats stats;
 };
 
-/// Run the bottom-up HSS construction under the given execution context.
+/// Run Algorithm 1 under weak admissibility on the given execution context
+/// and repack the result into HssMatrix storage.
 HssResult build_hss(std::shared_ptr<const tree::ClusterTree> tree, kern::MatVecSampler& sampler,
                     const kern::EntryGenerator& gen, const core::ConstructionOptions& opts,
                     batched::ExecutionContext& ctx);

@@ -12,6 +12,8 @@
 #include "batched/device.hpp"
 #include "common/errors.hpp"
 #include "common/matrix.hpp"
+#include "core/construction.hpp"
+#include "h2/h2_matvec.hpp"
 #include "kernels/dense_sampler.hpp"
 #include "kernels/entry_gen.hpp"
 #include "kernels/kernels.hpp"
@@ -26,8 +28,9 @@
 /// determinism), the typed error taxonomy, the solver's ridge-retry
 /// recovery, the coalescer's degraded-launch retry — and the fault-sweep
 /// chaos test, which walks a one-shot fault across every injection point of
-/// a build+factor+serve cycle and asserts the system neither crashes, nor
-/// leaks, nor gives different answers after recovery.
+/// an HSS build+factor+solve cycle and of a strong-admissibility H2
+/// build+matvec cycle and asserts the system neither crashes, nor leaks, nor
+/// gives different answers after recovery.
 ///
 /// The sweep is strided by default (tier1). Set H2SKETCH_FAULT_SWEEP=full
 /// to walk every point (the `test_faults_full` slow ctest registration).
@@ -292,14 +295,12 @@ TEST(Degrade, CoalescedLaunchRetriesOnFallbackBackendAfterFault) {
 
 // --- the fault sweep -----------------------------------------------------
 
-struct CycleResult {
-  Matrix y; ///< matvec output
-  Matrix x; ///< solve output
-};
+/// Outputs of one cycle, compared bitwise against the fault-free run.
+using CycleResult = std::vector<Matrix>;
 
-/// One full build + factor + matvec + solve cycle on `backend_name`.
+/// One full HSS build + factor + matvec + solve cycle on `backend_name`.
 /// Deterministic: same tree, kernel, seeds and launch order every call.
-CycleResult run_cycle(const std::string& backend_name) {
+CycleResult run_hss_cycle(const std::string& backend_name) {
   auto tr = test_util::build_cube_tree(64, 2, 17, 16);
   static const kern::ExponentialKernel base(0.3);
   static const kern::RidgeKernel kernel(base, 1.0);
@@ -315,19 +316,46 @@ CycleResult run_cycle(const std::string& backend_name) {
   const index_t n = res.matrix.size();
   const Matrix xin = test_util::random_matrix(n, 2, 5);
   CycleResult out{Matrix(n, 2), Matrix(n, 2)};
-  res.matrix.matvec(ctx, xin.view(), out.y.view());
-  f.solve_many(xin.view(), out.x.view(), ctx);
+  res.matrix.matvec(ctx, xin.view(), out[0].view());
+  f.solve_many(xin.view(), out[1].view(), ctx);
   return out;
 }
 
-TEST(FaultSweep, OneShotFaultAtEveryPointRecoversBitwiseWithoutLeaks) {
+/// One strong-admissibility H2 build + matvec cycle on `backend_name`: the
+/// near field generates asynchronously from the builder's leaf position
+/// lists, so a fault mid-build unwinds past launches that still read them.
+CycleResult run_h2_cycle(const std::string& backend_name) {
+  auto tr = test_util::build_cube_tree(256, 2, 19, 16);
+  static const kern::ExponentialKernel kernel(0.3);
+  core::ConstructionOptions opts;
+  opts.tol = 1e-8;
+  opts.sample_block = 16;
+  opts.initial_samples = 32;
+  batched::ExecutionContext ctx(backend::shared_backend(backend_name));
+  kern::KernelMatVecSampler sampler(*tr, kernel);
+  kern::KernelEntryGenerator gen(*tr, kernel);
+  auto res = core::construct_h2(tr, tree::Admissibility::general(0.7), sampler, gen, opts, ctx);
+  const index_t n = res.matrix.size();
+  const Matrix xin = test_util::random_matrix(n, 2, 5);
+  CycleResult out{Matrix(n, 2)};
+  h2::h2_matvec(ctx, res.matrix, xin.view(), out[0].view());
+  return out;
+}
+
+/// Walk a one-shot fault across every injection point of `cycle` on
+/// "faulty-simdevice" (strided unless H2SKETCH_FAULT_SWEEP=full): each
+/// fault must surface as a typed error, the retried cycle must reproduce
+/// the fault-free outputs bitwise, and no device bytes may leak.
+void sweep_one_shot_faults(const std::string& name,
+                           CycleResult (*cycle)(const std::string& backend_name)) {
+  SCOPED_TRACE(name);
   auto inj = backend::fault_injector("faulty-simdevice");
   inj->set_schedule(FaultSchedule::off());
 
   // Probe run: schedule off still counts points, so one fault-free cycle
   // measures the injection index space the sweep walks — and produces the
   // bitwise reference results.
-  const CycleResult ref = run_cycle("faulty-simdevice");
+  const CycleResult ref = cycle("faulty-simdevice");
   const std::uint64_t total = inj->fault_stats().points();
   ASSERT_GT(total, 0u);
   const std::uint64_t live0 = inj->stats().live_bytes;
@@ -341,29 +369,34 @@ TEST(FaultSweep, OneShotFaultAtEveryPointRecoversBitwiseWithoutLeaks) {
     inj->set_schedule(FaultSchedule::one_shot_at(k));
     CycleResult got;
     try {
-      got = run_cycle("faulty-simdevice");
+      got = cycle("faulty-simdevice");
     } catch (const Error&) {
       // The typed fault surfaced; the one-shot disarmed itself when it
       // fired, so the client-level retry — what the serving layer's
       // policies automate — runs clean.
       ++surfaced;
       EXPECT_EQ(inj->fault_stats().injected, 1u) << "fault point " << k;
-      got = run_cycle("faulty-simdevice");
+      got = cycle("faulty-simdevice");
     }
-    EXPECT_EQ(max_abs_diff(got.y.view(), ref.y.view()), 0.0)
-        << "matvec diverged after fault at point " << k;
-    EXPECT_EQ(max_abs_diff(got.x.view(), ref.x.view()), 0.0)
-        << "solve diverged after fault at point " << k;
+    ASSERT_EQ(got.size(), ref.size());
+    for (size_t o = 0; o < ref.size(); ++o)
+      EXPECT_EQ(max_abs_diff(got[o].view(), ref[o].view()), 0.0)
+          << "output " << o << " diverged after fault at point " << k;
     EXPECT_EQ(inj->stats().live_bytes, live0) << "device leak after fault at point " << k;
     ++swept;
   }
   inj->set_schedule(FaultSchedule::off());
 
-  // Nothing below run_cycle retries launch faults, so every injected fault
+  // Nothing below the cycle retries launch faults, so every injected fault
   // must have surfaced as a typed error (none swallowed, none crashed).
   EXPECT_EQ(surfaced, swept);
-  RecordProperty("fault_points", static_cast<int>(total));
-  RecordProperty("fault_points_swept", static_cast<int>(swept));
+  ::testing::Test::RecordProperty(name + "_fault_points", static_cast<int>(total));
+  ::testing::Test::RecordProperty(name + "_fault_points_swept", static_cast<int>(swept));
+}
+
+TEST(FaultSweep, OneShotFaultAtEveryPointRecoversBitwiseWithoutLeaks) {
+  sweep_one_shot_faults("hss", run_hss_cycle);
+  sweep_one_shot_faults("h2_strong", run_h2_cycle);
 }
 
 } // namespace
