@@ -66,9 +66,10 @@ void BM_BsrGemm(benchmark::State& state) {
   for (auto& b : blocks) blv.push_back(b.view());
   for (auto& x : xs) xv.push_back(x.view());
   for (auto& y : ys) yv.push_back(y.view());
+  const std::vector<la::Op> ops(blv.size(), la::Op::None);
   batched::ExecutionContext ctx(backend::LaunchMode::Batched);
   for (auto _ : state) {
-    ctx.device().bsr_gemm(ctx, batched::kSampleStream, 1.0, row_ptr, col, blv, xv, yv);
+    ctx.device().bsr_gemm(ctx, batched::kSampleStream, 1.0, row_ptr, col, blv, ops, xv, yv);
     ctx.sync(batched::kSampleStream);
     benchmark::DoNotOptimize(ys[0].data());
   }

@@ -14,16 +14,8 @@
 ///     tol 1e-6) through core::construct_h2. At N = 8192 this workload
 ///     converges in ~96 samples, so exact sampling is only a few seconds
 ///     of the build and no sampler swap can reach 5x — the row gates the
-///     error contract only and documents where the O(N) crossover lies
-///     (the --xlarge run shows the regime where the proxy path is the only
-///     one that completes).
+///     error contract only and documents where the O(N) crossover lies.
 /// Errors are power-method relative 2-norms against a fresh exact sampler.
-///
-/// --xlarge additionally runs a paper-scale N = 2^17 3D proxy construction
-/// (unreachable for the exact sampler on this machine) and records its
-/// stats; its error is measured against the proxy surrogate (the operator
-/// actually sketched), since an exact oracle matvec at that scale costs
-/// ~1.7e10 kernel evaluations per power iteration.
 ///
 /// Results go to BENCH_proxy.json; --smoke shrinks everything for the CI
 /// sanitizer sweep and writes the gitignored BENCH_proxy_smoke.json.
@@ -37,26 +29,11 @@
 #include "kernels/dense_sampler.hpp"
 #include "kernels/proxy_sampler.hpp"
 #include "solver/hss_construction.hpp"
-#include "solver/hss_matrix.hpp"
 
 using namespace h2sketch;
 using namespace h2sketch::bench;
 
 namespace {
-
-/// Black-box adapter over the HSS fast matvec, for the error estimator.
-class HssSampler final : public kern::MatVecSampler {
- public:
-  explicit HssSampler(const solver::HssMatrix& a) : a_(&a) {}
-  index_t size() const override { return a_->size(); }
-  void sample(ConstMatrixView omega, MatrixView y) override {
-    a_->matvec(omega, y);
-    record_samples(omega.cols);
-  }
-
- private:
-  const solver::HssMatrix* a_;
-};
 
 struct HeadToHead {
   std::string workload;
@@ -115,7 +92,7 @@ HeadToHead run_hss(index_t n, real_t tol, int err_iters) {
   r.speedup = r.exact_seconds / r.proxy_total();
 
   kern::KernelMatVecSampler oracle(*tree, kernel);
-  HssSampler se(res_e.matrix), sp(res_p.matrix);
+  h2::H2Sampler se(res_e.matrix), sp(res_p.matrix);
   r.exact_err = core::relative_error_2norm(oracle, se, err_iters);
   r.proxy_err = core::relative_error_2norm(oracle, sp, err_iters);
   return r;
@@ -162,54 +139,10 @@ HeadToHead run_h2(index_t n, index_t leaf, real_t tol, int err_iters) {
   return r;
 }
 
-struct XLarge {
-  index_t n = 0, leaf = 0;
-  real_t tol = 0;
-  double surrogate_seconds = 0.0, construct_seconds = 0.0;
-  index_t total_samples = 0, min_rank = 0, max_rank = 0, proxy_points = 0;
-  double memory_mb = 0.0;
-  real_t err_vs_surrogate = 0.0;
-};
-
-XLarge run_xlarge(index_t n, index_t leaf, real_t tol) {
-  auto tree = std::make_shared<tree::ClusterTree>(
-      tree::ClusterTree::build(geo::uniform_random_cube(n, 3, 1234), leaf));
-  kern::ExponentialKernel kernel(0.2);
-  kern::KernelEntryGenerator gen(*tree, kernel);
-  const auto adm = tree::Admissibility::general(0.7);
-  core::ConstructionOptions opts;
-  opts.tol = tol;
-  opts.sample_block = 32;
-  opts.initial_samples = 32;
-
-  XLarge x;
-  x.n = n;
-  x.leaf = leaf;
-  x.tol = tol;
-  kern::ProxySamplerOptions popts;
-  popts.tol = tol;
-  kern::ProxyMatVecSampler proxy(tree, kernel, popts);
-  x.surrogate_seconds = proxy.build_seconds();
-  x.proxy_points = proxy.proxy_points_used();
-  std::cout << "  surrogate built in " << fmt(x.surrogate_seconds) << " s ("
-            << x.proxy_points << " proxy points)\n";
-  auto res = core::construct_h2(tree, adm, proxy, gen, opts);
-  x.construct_seconds = res.stats.total_seconds;
-  x.total_samples = res.stats.total_samples;
-  x.min_rank = res.stats.min_rank;
-  x.max_rank = res.stats.max_rank;
-  x.memory_mb = static_cast<double>(res.stats.memory_bytes) / (1024.0 * 1024.0);
-
-  h2::H2Sampler approx(res.matrix);
-  x.err_vs_surrogate = core::relative_error_2norm(proxy, approx, /*iters=*/6);
-  return x;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
   const bool smoke = has_flag(argc, argv, "--smoke");
-  const bool xlarge = has_flag(argc, argv, "--xlarge");
 
   const index_t n = smoke ? 1024 : 8192;
   const real_t tol = 1e-6;
@@ -234,20 +167,11 @@ int main(int argc, char** argv) {
     if (!smoke && !r.pass()) all_pass = false;
   }
 
-  XLarge x;
-  if (xlarge) {
-    std::cout << "\nxlarge: N = 2^17 proxy-sampled 3D construction...\n";
-    x = run_xlarge(index_t{1} << 17, 256, 1e-4);
-    std::cout << "  construction " << fmt(x.construct_seconds) << " s, samples "
-              << x.total_samples << ", ranks " << x.min_rank << "-" << x.max_rank << ", memory "
-              << fmt(x.memory_mb) << " MB, err vs surrogate " << fmt(x.err_vs_surrogate, 2)
-              << "\n";
-  }
-
   const char* json_name = smoke ? "BENCH_proxy_smoke.json" : "BENCH_proxy.json";
   std::ofstream json(json_name);
   json << "{\n  \"bench\": \"proxy\",\n  \"mode\": \"" << (smoke ? "smoke" : "full")
        << "\",\n  \"hardware_threads\": " << std::thread::hardware_concurrency()
+       << ",\n  \"threads\": " << num_threads()
        << ",\n  \"tol\": " << tol
        << ",\n  \"note\": \"proxy_s = surrogate build + sketched construction; errors are "
        << "power-method relative 2-norms against the exact kernel sampler\",\n  \"runs\": [\n";
@@ -263,16 +187,7 @@ int main(int argc, char** argv) {
          << ", \"exact_max_rank\": " << r.exact_max_rank
          << ", \"proxy_max_rank\": " << r.proxy_max_rank
          << ", \"speedup_gated\": " << (r.gate_speedup ? "true" : "false") << "}"
-         << (i + 1 < runs.size() || xlarge ? "," : "") << "\n";
-  }
-  if (xlarge) {
-    json << "    {\"workload\": \"h2_3d_cov_xlarge\", \"n\": " << x.n << ", \"leaf\": " << x.leaf
-         << ", \"tol\": " << x.tol << ", \"proxy_surrogate_seconds\": " << x.surrogate_seconds
-         << ", \"proxy_construct_seconds\": " << x.construct_seconds
-         << ", \"total_samples\": " << x.total_samples << ", \"min_rank\": " << x.min_rank
-         << ", \"max_rank\": " << x.max_rank << ", \"memory_mb\": " << x.memory_mb
-         << ", \"proxy_points\": " << x.proxy_points
-         << ", \"err_vs_surrogate\": " << x.err_vs_surrogate << "}\n";
+         << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::cout << "\nwrote " << json_name << "\n";

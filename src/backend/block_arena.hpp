@@ -7,7 +7,7 @@
 
 /// \file block_arena.hpp
 /// Packed per-level arena of device-resident matrix blocks — the storage
-/// unit behind the device-resident `H2Matrix` / `HssMatrix` / ULV factor.
+/// unit behind the device-resident `H2Matrix` (HSS included) and ULV factor.
 ///
 /// One arena holds every block of one kind at one level (all leaf bases,
 /// all transfers, all coupling blocks, ...) in a single `DeviceBuffer`,

@@ -29,7 +29,9 @@ struct GatherLaunch {
 
 struct BsrLaunch {
   std::vector<index_t> row_ptr, col;
-  std::vector<ConstMatrixView> blocks, x;
+  std::vector<ConstMatrixView> blocks;
+  std::vector<la::Op> ops;
+  std::vector<ConstMatrixView> x;
   std::vector<MatrixView> y;
 };
 
@@ -105,11 +107,13 @@ void CpuBackend::gather_rows(batched::ExecutionContext& ctx, batched::StreamId s
 index_t CpuBackend::bsr_gemm(batched::ExecutionContext& ctx, batched::StreamId stream,
                              real_t alpha, std::vector<index_t> row_ptr,
                              std::vector<index_t> col, std::vector<ConstMatrixView> blocks,
-                             std::vector<ConstMatrixView> x, std::vector<MatrixView> y) {
+                             std::vector<la::Op> ops, std::vector<ConstMatrixView> x,
+                             std::vector<MatrixView> y) {
   H2S_CHECK(!row_ptr.empty(), "bsr_gemm: row_ptr must have at least one entry");
   const index_t rows = static_cast<index_t>(row_ptr.size()) - 1;
   H2S_CHECK(static_cast<index_t>(y.size()) == rows, "bsr_gemm: output count mismatch");
-  H2S_CHECK(col.size() == blocks.size(), "bsr_gemm: block count mismatch");
+  H2S_CHECK(col.size() == blocks.size() && ops.size() == blocks.size(),
+            "bsr_gemm: block count mismatch");
 
   index_t max_per_row = 0;
   for (index_t r = 0; r < rows; ++r)
@@ -117,7 +121,8 @@ index_t CpuBackend::bsr_gemm(batched::ExecutionContext& ctx, batched::StreamId s
                            row_ptr[static_cast<size_t>(r + 1)] - row_ptr[static_cast<size_t>(r)]);
 
   auto st = std::make_shared<BsrLaunch>(BsrLaunch{std::move(row_ptr), std::move(col),
-                                                  std::move(blocks), std::move(x), std::move(y)});
+                                                  std::move(blocks), std::move(ops), std::move(x),
+                                                  std::move(y)});
 
   // Sub-launch k: the k-th block of each row (rows with fewer blocks skip).
   // Each y[r] is touched by exactly one batch entry per sub-launch, and the
@@ -139,7 +144,7 @@ index_t CpuBackend::bsr_gemm(batched::ExecutionContext& ctx, batched::StreamId s
           const auto e = static_cast<size_t>(base + k);
           const index_t c = st->col[e];
           if (st->y[static_cast<size_t>(r)].empty() || st->blocks[e].empty()) return;
-          la::gemm(alpha, st->blocks[e], la::Op::None, st->x[static_cast<size_t>(c)],
+          la::gemm(alpha, st->blocks[e], st->ops[e], st->x[static_cast<size_t>(c)],
                    la::Op::None, 1.0, st->y[static_cast<size_t>(r)]);
         }, label(OpKind::BsrGemm));
   }
@@ -241,11 +246,7 @@ void CpuBackend::transpose(batched::ExecutionContext& ctx, std::span<const Const
   H2S_CHECK(in.size() == out.size(), "batched_transpose: batch size mismatch");
   ctx.run_batch(static_cast<index_t>(in.size()), [&](index_t idx) {
     const auto u = static_cast<size_t>(idx);
-    const ConstMatrixView& a = in[u];
-    const MatrixView& b = out[u];
-    H2S_CHECK(a.rows == b.cols && a.cols == b.rows, "batched_transpose: shape mismatch");
-    for (index_t j = 0; j < a.cols; ++j)
-      for (index_t i = 0; i < a.rows; ++i) b(j, i) = a(i, j);
+    copy_transposed(in[u], out[u]);
   }, label(OpKind::Transpose));
 }
 

@@ -26,8 +26,8 @@ class CpuBackend : public DeviceBackend {
 
   index_t bsr_gemm(batched::ExecutionContext& ctx, batched::StreamId stream, real_t alpha,
                    std::vector<index_t> row_ptr, std::vector<index_t> col,
-                   std::vector<ConstMatrixView> blocks, std::vector<ConstMatrixView> x,
-                   std::vector<MatrixView> y) override;
+                   std::vector<ConstMatrixView> blocks, std::vector<la::Op> ops,
+                   std::vector<ConstMatrixView> x, std::vector<MatrixView> y) override;
 
   void min_r_diag(batched::ExecutionContext& ctx, std::span<const ConstMatrixView> a,
                   std::span<real_t> out) override;

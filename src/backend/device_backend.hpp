@@ -234,7 +234,10 @@ class DeviceBackend : public std::enable_shared_from_this<DeviceBackend> {
 
   /// Block-sparse-row product, the paper's batchedBSRGemm (§IV-A): given a
   /// CSR block pattern over the nodes of a level,
-  ///     y[r] += alpha * sum_j blocks[row_ptr[r]+j] * x[col[row_ptr[r]+j]].
+  ///     y[r] += alpha * sum_j op_e(blocks[e]) * x[col[e]],  e = row_ptr[r]+j,
+  /// with op_e = ops[e] (one per block). Symmetric operators store one
+  /// block per unordered pair, so a mirror entry passes its owner's block
+  /// with Op::Trans.
   /// Split into at most Csp sub-launches, all on `stream`: sub-launch k
   /// handles the k-th block of every row, so each y[r] is written by at
   /// most one entry per launch (no atomics) and stream FIFO order makes the
@@ -243,8 +246,8 @@ class DeviceBackend : public std::enable_shared_from_this<DeviceBackend> {
   /// sub-launches (== max blocks per row).
   virtual index_t bsr_gemm(batched::ExecutionContext& ctx, batched::StreamId stream, real_t alpha,
                            std::vector<index_t> row_ptr, std::vector<index_t> col,
-                           std::vector<ConstMatrixView> blocks, std::vector<ConstMatrixView> x,
-                           std::vector<MatrixView> y) = 0;
+                           std::vector<ConstMatrixView> blocks, std::vector<la::Op> ops,
+                           std::vector<ConstMatrixView> x, std::vector<MatrixView> y) = 0;
 
   /// QR probe (the KBLAS batched-QR stand-in): out[i] = min |diag(R)| of the
   /// unpivoted QR of a[i]. The adaptive construction only needs the smallest

@@ -227,11 +227,11 @@ index_t FaultInjectingDevice::bsr_gemm(batched::ExecutionContext& ctx, batched::
                                        real_t alpha, std::vector<index_t> row_ptr,
                                        std::vector<index_t> col,
                                        std::vector<ConstMatrixView> blocks,
-                                       std::vector<ConstMatrixView> x,
+                                       std::vector<la::Op> ops, std::vector<ConstMatrixView> x,
                                        std::vector<MatrixView> y) {
   visit_point(FaultSite::Launch, op_name(OpKind::BsrGemm), 0);
   return inner_->bsr_gemm(ctx, stream, alpha, std::move(row_ptr), std::move(col),
-                          std::move(blocks), std::move(x), std::move(y));
+                          std::move(blocks), std::move(ops), std::move(x), std::move(y));
 }
 
 void FaultInjectingDevice::min_r_diag(batched::ExecutionContext& ctx,

@@ -8,8 +8,8 @@
 #include "obs/trace.hpp"
 
 /// \file timer.hpp
-/// Wall-clock timing and the per-phase profiler used to reproduce the
-/// paper's Fig. 7 construction-time breakdown.
+/// Wall-clock timing and the construction phase spans used to reproduce
+/// the paper's Fig. 7 construction-time breakdown.
 
 namespace h2sketch {
 
@@ -51,38 +51,11 @@ inline const char* phase_name(Phase p) {
   return names[static_cast<size_t>(static_cast<int>(p))];
 }
 
-/// Accumulates wall time per phase. Scoped measurement via PhaseScope.
-class PhaseProfiler {
+/// A construction phase's trace span (category "construction", named by
+/// phase): Fig. 7-style breakdowns are read straight off a captured trace.
+class PhaseScope : public obs::TraceSpan {
  public:
-  void add(Phase p, double seconds) { acc_[static_cast<size_t>(p)] += seconds; }
-  double seconds(Phase p) const { return acc_[static_cast<size_t>(p)]; }
-  double total() const {
-    double t = 0;
-    for (double v : acc_) t += v;
-    return t;
-  }
-  void reset() { acc_.fill(0.0); }
-
- private:
-  std::array<double, static_cast<size_t>(Phase::kCount)> acc_{};
-};
-
-/// RAII phase timer: adds the scope's wall time to the profiler on exit,
-/// and doubles as a trace span (category "construction", named by phase) so
-/// Fig. 7-style breakdowns can be read straight off a captured trace.
-class PhaseScope {
- public:
-  PhaseScope(PhaseProfiler& prof, Phase p)
-      : prof_(prof), phase_(p), span_("construction", phase_name(p)), start_(wall_seconds()) {}
-  ~PhaseScope() { prof_.add(phase_, wall_seconds() - start_); }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  PhaseProfiler& prof_;
-  Phase phase_;
-  obs::TraceSpan span_;
-  double start_;
+  explicit PhaseScope(Phase p) : obs::TraceSpan("construction", phase_name(p)) {}
 };
 
 } // namespace h2sketch

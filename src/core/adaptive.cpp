@@ -18,7 +18,7 @@ namespace h2sketch::core::detail {
 real_t H2SketchBuilder::eps_abs() const { return opts_.tol * stats_.norm_estimate; }
 
 void H2SketchBuilder::sample_columns(index_t d_new) {
-  PhaseScope scope(stats_.phases, Phase::Sampling);
+  PhaseScope scope(Phase::Sampling);
   // Appending columns reallocates (Omega, Y); any in-flight launch from the
   // previous round may still hold views into them, so this is a barrier.
   // The initial round (d_total_ == 0) skips it: nothing references the
@@ -78,7 +78,7 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
   };
 
   {
-    PhaseScope scope(stats_.phases, Phase::Misc);
+    PhaseScope scope(Phase::Misc);
     if (yl.empty()) {
       H2S_ASSERT(c0 == 0, "first Y_loc build must start at column 0");
       yl.resize(static_cast<size_t>(nodes));
@@ -93,18 +93,18 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
   if (level == leaf) {
     // Y_loc = Y(I_tau, cols) - sum_b D_{tau,b} Omega(I_b, cols)   (Line 9).
     {
-      PhaseScope scope(stats_.phases, Phase::Misc);
+      PhaseScope scope(Phase::Misc);
       for (index_t i = 0; i < nodes; ++i)
         ctx_.device().copy_device(
             y_global_.view().block(tree_->begin(level, i), c0, tree_->size(level, i), dn),
             yl[static_cast<size_t>(i)].view().col_range(c0, dn));
     }
-    PhaseScope scope(stats_.phases, Phase::BsrGemm);
+    PhaseScope scope(Phase::BsrGemm);
     const auto& near = out_.mtree.near_leaf;
     if (!near.empty()) {
-      std::vector<ConstMatrixView> blocks, xv;
+      h2::BsrOperands ops = h2::bsr_operands(near, out_.dense);
+      std::vector<ConstMatrixView> xv;
       std::vector<MatrixView> yv;
-      for (index_t e = 0; e < out_.dense.count(); ++e) blocks.push_back(out_.dense.dev(e));
       for (index_t i = 0; i < nodes; ++i) {
         xv.push_back(
             omega_global_.view().block(tree_->begin(level, i), c0, tree_->size(level, i), dn));
@@ -115,8 +115,8 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
       // FIFO order stands in for a barrier.
       ctx_.device().bsr_gemm(ctx_, batched::kSampleStream, -1.0,
                              {near.row_ptr.begin(), near.row_ptr.end()},
-                             {near.col.begin(), near.col.end()}, std::move(blocks), std::move(xv),
-                             std::move(yv));
+                             {near.col.begin(), near.col.end()}, std::move(ops.blocks),
+                             std::move(ops.ops), std::move(xv), std::move(yv));
     }
     return;
   }
@@ -126,7 +126,7 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
   const index_t child_level = level + 1;
   const auto uc = static_cast<size_t>(child_level);
   {
-    PhaseScope scope(stats_.phases, Phase::Misc);
+    PhaseScope scope(Phase::Misc);
     for (index_t i = 0; i < nodes; ++i) {
       const index_t r1 = out_.ranks[uc][static_cast<size_t>(2 * i)];
       const index_t r2 = out_.ranks[uc][static_cast<size_t>(2 * i + 1)];
@@ -140,13 +140,12 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
             dst.block(r1, c0, r2, dn));
     }
   }
-  PhaseScope scope(stats_.phases, Phase::BsrGemm);
+  PhaseScope scope(Phase::BsrGemm);
   const auto& far_child = out_.mtree.far[uc];
   if (!far_child.empty()) {
-    std::vector<ConstMatrixView> blocks, xv;
+    h2::BsrOperands ops = h2::bsr_operands(far_child, out_.coupling[uc]);
+    std::vector<ConstMatrixView> xv;
     std::vector<MatrixView> yv;
-    for (index_t e = 0; e < out_.coupling[uc].count(); ++e)
-      blocks.push_back(out_.coupling[uc].dev(e));
     for (index_t nu = 0; nu < tree_->nodes_at(child_level); ++nu) {
       const auto un = static_cast<size_t>(nu);
       xv.push_back(omega_up_[uc][un].view().col_range(c0, dn));
@@ -158,13 +157,13 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
     }
     ctx_.device().bsr_gemm(ctx_, batched::kSampleStream, -1.0,
                            {far_child.row_ptr.begin(), far_child.row_ptr.end()},
-                           {far_child.col.begin(), far_child.col.end()}, std::move(blocks),
-                           std::move(xv), std::move(yv));
+                           {far_child.col.begin(), far_child.col.end()}, std::move(ops.blocks),
+                           std::move(ops.ops), std::move(xv), std::move(yv));
   }
 }
 
 void H2SketchBuilder::extend_upswept(index_t level, index_t c0, index_t dn) {
-  PhaseScope scope(stats_.phases, Phase::Upsweep);
+  PhaseScope scope(Phase::Upsweep);
   const index_t leaf = tree_->leaf_level();
   const index_t nodes = tree_->nodes_at(level);
   const auto ul = static_cast<size_t>(level);
@@ -243,7 +242,7 @@ void H2SketchBuilder::add_sample_round(index_t level) {
 }
 
 bool H2SketchBuilder::level_converged(index_t level) {
-  PhaseScope scope(stats_.phases, Phase::Convergence);
+  PhaseScope scope(Phase::Convergence);
   const index_t nodes = tree_->nodes_at(level);
   const auto ul = static_cast<size_t>(level);
   // Probe on a working copy of Y_loc whose factorization persists across

@@ -4,6 +4,7 @@
 
 #include "backend/device_matrix.hpp"
 #include "common/random.hpp"
+#include "common/timer.hpp"
 #include "core/construction.hpp"
 
 /// \file builder.hpp

@@ -84,28 +84,23 @@ void H2SketchBuilder::generate_dense_blocks() {
   // Marshal on this thread, generate asynchronously: the phase scope times
   // only the marshaling; the generation itself overlaps the initial
   // sampling and is charged to wall time, not the EntryGen phase.
-  PhaseScope scope(stats_.phases, Phase::EntryGen);
+  PhaseScope scope(Phase::EntryGen);
   const index_t leaf = tree_->leaf_level();
   const auto& near = out_.mtree.near_leaf;
   // Shapes first, one device allocation for the whole near field, then the
   // generation launches write straight into the arena slots — the blocks
-  // are born on the device and never cross the marshaling boundary.
-  for (index_t r = 0; r < tree_->nodes_at(leaf); ++r)
-    for (index_t j = 0; j < near.row_count(r); ++j) {
-      const index_t e = near.row_ptr[static_cast<size_t>(r)] + j;
-      const index_t c = near.col[static_cast<size_t>(e)];
-      out_.dense.set_shape(e, tree_->size(leaf, r), tree_->size(leaf, c));
-    }
+  // are born on the device and never cross the marshaling boundary. Only
+  // owner entries are generated; mirrors keep their 0 x 0 slots.
+  h2::for_each_owner(near, [&](index_t e, index_t r, index_t c) {
+    out_.dense.set_shape(e, tree_->size(leaf, r), tree_->size(leaf, c));
+  });
   out_.dense.allocate(ctx_.device());
   std::vector<kern::BlockRequest> reqs;
   reqs.reserve(static_cast<size_t>(near.count()));
-  for (index_t r = 0; r < tree_->nodes_at(leaf); ++r)
-    for (index_t j = 0; j < near.row_count(r); ++j) {
-      const index_t e = near.row_ptr[static_cast<size_t>(r)] + j;
-      const index_t c = near.col[static_cast<size_t>(e)];
-      reqs.push_back({leaf_positions_[static_cast<size_t>(r)],
-                      leaf_positions_[static_cast<size_t>(c)], out_.dense.dev(e)});
-    }
+  h2::for_each_owner(near, [&](index_t e, index_t r, index_t c) {
+    reqs.push_back({leaf_positions_[static_cast<size_t>(r)],
+                    leaf_positions_[static_cast<size_t>(c)], out_.dense.dev(e)});
+  });
   ctx_.device().generate(ctx_, batched::kEntryGenStream, gen_, std::move(reqs));
 }
 
@@ -117,7 +112,7 @@ void H2SketchBuilder::skeletonize_level(index_t level) {
   // Batched row ID of the level's samples (Lines 16 / 34).
   std::vector<la::RowID> ids(static_cast<size_t>(nodes));
   {
-    PhaseScope scope(stats_.phases, Phase::ID);
+    PhaseScope scope(Phase::ID);
     std::vector<ConstMatrixView> ys;
     ys.reserve(static_cast<size_t>(nodes));
     for (index_t i = 0; i < nodes; ++i)
@@ -127,7 +122,7 @@ void H2SketchBuilder::skeletonize_level(index_t level) {
 
   // Store bases / transfers, ranks, skeleton index sets.
   {
-    PhaseScope scope(stats_.phases, Phase::Misc);
+    PhaseScope scope(Phase::Misc);
     obs::SketchMetric& rank_sketch =
         obs::MetricsRegistry::global().sketch("construction_block_rank");
     for (index_t i = 0; i < nodes; ++i) {
@@ -170,7 +165,7 @@ void H2SketchBuilder::skeletonize_level(index_t level) {
   // touch disjoint state (y_up vs omega_up); extend_yloc of the next level
   // is their common consumer and syncs before reading.
   {
-    PhaseScope scope(stats_.phases, Phase::Upsweep);
+    PhaseScope scope(Phase::Upsweep);
     auto& yup = y_up_[ul];
     yup.resize(static_cast<size_t>(nodes));
     std::vector<ConstMatrixView> src;
@@ -234,31 +229,24 @@ void H2SketchBuilder::skeletonize_level(index_t level) {
 }
 
 void H2SketchBuilder::generate_coupling(index_t level) {
-  PhaseScope scope(stats_.phases, Phase::EntryGen);
+  PhaseScope scope(Phase::EntryGen);
   const auto ul = static_cast<size_t>(level);
   const auto& far = out_.mtree.far[ul];
   if (far.empty()) return;
-  // Coupling blocks are generated directly into the level's packed arena.
-  for (index_t r = 0; r < tree_->nodes_at(level); ++r)
-    for (index_t j = 0; j < far.row_count(r); ++j) {
-      const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
-      const index_t c = far.col[static_cast<size_t>(e)];
-      out_.coupling[ul].set_shape(
-          e, static_cast<index_t>(out_.skeleton[ul][static_cast<size_t>(r)].size()),
-          static_cast<index_t>(out_.skeleton[ul][static_cast<size_t>(c)].size()));
-    }
+  // Coupling blocks of owner entries are generated directly into the
+  // level's packed arena; mirrors keep their 0 x 0 slots.
+  const auto& skel = out_.skeleton[ul];
+  h2::for_each_owner(far, [&](index_t e, index_t r, index_t c) {
+    out_.coupling[ul].set_shape(e, static_cast<index_t>(skel[static_cast<size_t>(r)].size()),
+                                static_cast<index_t>(skel[static_cast<size_t>(c)].size()));
+  });
   out_.coupling[ul].allocate(ctx_.device());
   std::vector<kern::BlockRequest> reqs;
   reqs.reserve(static_cast<size_t>(far.count()));
-  for (index_t r = 0; r < tree_->nodes_at(level); ++r) {
-    for (index_t j = 0; j < far.row_count(r); ++j) {
-      const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
-      const index_t c = far.col[static_cast<size_t>(e)];
-      const auto& rs = out_.skeleton[ul][static_cast<size_t>(r)];
-      const auto& cs = out_.skeleton[ul][static_cast<size_t>(c)];
-      reqs.push_back({rs, cs, out_.coupling[ul].dev(e)});
-    }
-  }
+  h2::for_each_owner(far, [&](index_t e, index_t r, index_t c) {
+    reqs.push_back(
+        {skel[static_cast<size_t>(r)], skel[static_cast<size_t>(c)], out_.coupling[ul].dev(e)});
+  });
   // Asynchronous: coupling generation overlaps the level's upsweep launches
   // (and, for the last level, nothing waits until the final sync_all). The
   // skeleton index sets referenced by the requests are stable members.

@@ -12,10 +12,6 @@ std::string ConstructionStats::summary() const {
      << kernel_launches << ", entries " << entries_generated << ", Csp " << csp << ", levels "
      << levels;
   if (nonconverged_nodes > 0) os << ", NONCONVERGED nodes " << nonconverged_nodes;
-  os << "\nphases:";
-  for (int p = 0; p < static_cast<int>(Phase::kCount); ++p)
-    os << " " << phase_name(static_cast<Phase>(p)) << "=" << phases.seconds(static_cast<Phase>(p))
-       << "s";
   return os.str();
 }
 

@@ -3,20 +3,19 @@
 #include <string>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "common/types.hpp"
 
 /// \file stats.hpp
 /// Statistics gathered during a construction run: everything the paper's
-/// evaluation section reports (time, phase breakdown for Fig. 7, total
-/// samples for Fig. 5's annotations, rank range and memory for Table II,
-/// kernel-launch counts for the batching analysis in §IV-B).
+/// evaluation section reports (time, total samples for Fig. 5's
+/// annotations, rank range and memory for Table II, kernel-launch counts
+/// for the batching analysis in §IV-B). The Fig. 7 phase breakdown is read
+/// off the construction's trace spans (common/timer.hpp's PhaseScope).
 
 namespace h2sketch::core {
 
 struct ConstructionStats {
   double total_seconds = 0.0;
-  PhaseProfiler phases;
 
   index_t total_samples = 0;  ///< columns pushed through Kblk
   index_t sample_rounds = 0;  ///< sampling rounds (1 = fixed-sample behaviour)
@@ -35,7 +34,7 @@ struct ConstructionStats {
   /// healthy run).
   index_t nonconverged_nodes = 0;
 
-  /// Multi-line human-readable summary.
+  /// One-line human-readable summary.
   std::string summary() const;
 };
 

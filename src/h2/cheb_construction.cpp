@@ -155,11 +155,13 @@ H2Matrix build_cheb_h2(std::shared_ptr<const tree::ClusterTree> tree,
 
   // Coupling blocks: kernel between two grids, one launch per level over
   // the level's grid-point table (node i owns rows [i * rank, (i+1) * rank)).
+  // Only owner entries are generated; mirrors keep their 0 x 0 slots.
   for (index_t l = 0; l < t.num_levels(); ++l) {
     const auto ul = static_cast<size_t>(l);
     const auto& far = a.mtree.far[ul];
     if (far.count() == 0) continue;
-    for (index_t e = 0; e < far.count(); ++e) a.coupling[ul].set_shape(e, rank, rank);
+    for_each_owner(far,
+                   [&](index_t e, index_t, index_t) { a.coupling[ul].set_shape(e, rank, rank); });
     a.coupling[ul].allocate(ctx.device());
     std::vector<real_t> coords(static_cast<size_t>(t.nodes_at(l) * rank * dim));
     for (index_t i = 0; i < t.nodes_at(l); ++i)
@@ -169,34 +171,26 @@ H2Matrix build_cheb_h2(std::shared_ptr<const tree::ClusterTree> tree,
     const kern::KernelEntryGenerator& gen = gens.emplace_back(std::move(coords), dim, kernel);
     std::vector<kern::BlockRequest> reqs;
     reqs.reserve(static_cast<size_t>(far.count()));
-    for (index_t s = 0; s < t.nodes_at(l); ++s)
-      for (index_t j = 0; j < far.row_count(s); ++j) {
-        const index_t e = far.row_ptr[static_cast<size_t>(s)] + j;
-        const index_t c = far.col[static_cast<size_t>(e)];
-        reqs.push_back({span_of(s * rank, rank), span_of(c * rank, rank), a.coupling[ul].dev(e)});
-      }
+    for_each_owner(far, [&](index_t e, index_t s, index_t c) {
+      reqs.push_back({span_of(s * rank, rank), span_of(c * rank, rank), a.coupling[ul].dev(e)});
+    });
     ctx.device().generate(ctx, batched::kEntryGenStream, gen, std::move(reqs));
   }
 
   // Dense near field: exact kernel entries over the permuted points, one
-  // launch.
+  // launch (owner entries only).
   const auto& near = a.mtree.near_leaf;
-  for (index_t s = 0; s < t.nodes_at(leaf); ++s)
-    for (index_t j = 0; j < near.row_count(s); ++j) {
-      const index_t e = near.row_ptr[static_cast<size_t>(s)] + j;
-      a.dense.set_shape(e, t.size(leaf, s), t.size(leaf, near.col[static_cast<size_t>(e)]));
-    }
+  for_each_owner(near, [&](index_t e, index_t s, index_t c) {
+    a.dense.set_shape(e, t.size(leaf, s), t.size(leaf, c));
+  });
   a.dense.allocate(ctx.device());
   const kern::KernelEntryGenerator& near_gen = gens.emplace_back(t, kernel);
   std::vector<kern::BlockRequest> reqs;
   reqs.reserve(static_cast<size_t>(near.count()));
-  for (index_t s = 0; s < t.nodes_at(leaf); ++s)
-    for (index_t j = 0; j < near.row_count(s); ++j) {
-      const index_t e = near.row_ptr[static_cast<size_t>(s)] + j;
-      const index_t c = near.col[static_cast<size_t>(e)];
-      reqs.push_back({span_of(t.begin(leaf, s), t.size(leaf, s)),
-                      span_of(t.begin(leaf, c), t.size(leaf, c)), a.dense.dev(e)});
-    }
+  for_each_owner(near, [&](index_t e, index_t s, index_t c) {
+    reqs.push_back({span_of(t.begin(leaf, s), t.size(leaf, s)),
+                    span_of(t.begin(leaf, c), t.size(leaf, c)), a.dense.dev(e)});
+  });
   ctx.device().generate(ctx, batched::kEntryGenStream, near_gen, std::move(reqs));
   ctx.sync_all();
 

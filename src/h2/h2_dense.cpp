@@ -45,32 +45,35 @@ Matrix densify(const H2Matrix& a) {
     parallel_for(t.nodes_at(l), [&](index_t i) {
       if (needed[static_cast<size_t>(i)]) expanded[static_cast<size_t>(i)] = expand_basis(a, l, i);
     });
-    // Every far entry writes a disjoint block of K (distinct (s, c) index
-    // ranges), so the leaf-level densification runs one task per entry.
+    // Every owner entry writes a disjoint block of K and its mirror
+    // (distinct (s, c) index ranges), so the leaf-level densification runs
+    // one task per entry.
     parallel_for(far.count(), [&](index_t e) {
       index_t s = 0;
       while (far.row_ptr[static_cast<size_t>(s + 1)] <= e) ++s;
       const index_t c = far.col[static_cast<size_t>(e)];
+      if (is_mirror(s, c)) return;
       const Matrix& b = a.coupling[static_cast<size_t>(l)].host(e);
       Matrix ub(t.size(l, s), b.cols());
       la::gemm(1.0, expanded[static_cast<size_t>(s)].view(), la::Op::None, b.view(), la::Op::None,
                0.0, ub.view());
+      MatrixView blk = k.view().block(t.begin(l, s), t.begin(l, c), t.size(l, s), t.size(l, c));
       la::gemm(1.0, ub.view(), la::Op::None, expanded[static_cast<size_t>(c)].view(),
-               la::Op::Trans, 1.0,
-               k.view().block(t.begin(l, s), t.begin(l, c), t.size(l, s), t.size(l, c)));
+               la::Op::Trans, 1.0, blk);
+      if (s != c)
+        copy_transposed(blk,
+                        k.view().block(t.begin(l, c), t.begin(l, s), t.size(l, c), t.size(l, s)));
     });
   }
 
   const index_t leaf = t.leaf_level();
-  const auto& near = a.mtree.near_leaf;
-  for (index_t s = 0; s < t.nodes_at(leaf); ++s) {
-    for (index_t j = 0; j < near.row_count(s); ++j) {
-      const index_t e = near.row_ptr[static_cast<size_t>(s)] + j;
-      const index_t c = near.col[static_cast<size_t>(e)];
-      copy(a.dense.host(e).view(),
-           k.view().block(t.begin(leaf, s), t.begin(leaf, c), t.size(leaf, s), t.size(leaf, c)));
-    }
-  }
+  for_each_owner(a.mtree.near_leaf, [&](index_t e, index_t s, index_t c) {
+    const Matrix& d = a.dense.host(e);
+    copy(d.view(), k.view().block(t.begin(leaf, s), t.begin(leaf, c), d.rows(), d.cols()));
+    if (s != c)
+      copy_transposed(d.view(), k.view().block(t.begin(leaf, c), t.begin(leaf, s), d.cols(),
+                                               d.rows()));
+  });
   return k;
 }
 

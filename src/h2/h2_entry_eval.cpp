@@ -1,23 +1,6 @@
 #include "h2/h2_entry_eval.hpp"
 
-#include <algorithm>
-
 namespace h2sketch::h2 {
-
-namespace {
-
-/// CSR lookup: entry index of (r, c) in `list`, or -1.
-index_t find_entry(const tree::LevelBlockList& list, index_t r, index_t c) {
-  const index_t lo = list.row_ptr[static_cast<size_t>(r)];
-  const index_t hi = list.row_ptr[static_cast<size_t>(r + 1)];
-  const auto begin = list.col.begin() + lo;
-  const auto end = list.col.begin() + hi;
-  const auto it = std::lower_bound(begin, end, c);
-  if (it != end && *it == c) return lo + static_cast<index_t>(it - begin);
-  return -1;
-}
-
-} // namespace
 
 H2EntryGenerator::H2EntryGenerator(const H2Matrix& a) : a_(&a) {
   const tree::ClusterTree& t = *a.tree;
@@ -93,27 +76,32 @@ void H2EntryGenerator::generate_block(const_index_span rows, const_index_span co
       const index_t i = rows[static_cast<size_t>(ii)];
       const index_t ileaf = leaf_of_[static_cast<size_t>(i)];
 
-      // Near-field dense block?
-      const index_t ne = find_entry(a_->mtree.near_leaf, ileaf, jleaf);
-      if (ne >= 0) {
-        const Matrix& dmat = a_->dense.host(ne);
-        out(ii, jj) = dmat(i - t.begin(leaf, ileaf), j - t.begin(leaf, jleaf));
+      // Near-field dense block? A mirror entry reads its owner transposed.
+      const auto& near = a_->mtree.near_leaf;
+      if (const index_t ne = near.find(ileaf, jleaf); ne >= 0) {
+        const index_t pi = i - t.begin(leaf, ileaf), pj = j - t.begin(leaf, jleaf);
+        out(ii, jj) = is_mirror(ileaf, jleaf) ? a_->dense.host(near.find(jleaf, ileaf))(pj, pi)
+                                              : a_->dense.host(ne)(pi, pj);
         continue;
       }
-      // Otherwise the pair meets a coupling block at some level.
+      // Otherwise the pair meets a coupling block at some level: B_{s,c},
+      // or B_{c,s}^T for a mirror entry (same summation order either way).
       real_t val = 0.0;
       bool found = false;
       index_t s = ileaf, c = jleaf;
       for (index_t l = leaf; l >= 0; --l) {
-        const index_t fe = find_entry(a_->mtree.far[static_cast<size_t>(l)], s, c);
+        const auto& far = a_->mtree.far[static_cast<size_t>(l)];
+        const index_t fe = far.find(s, c);
         if (fe >= 0) {
-          const Matrix& b = a_->coupling[static_cast<size_t>(l)].host(fe);
+          const bool mirror = is_mirror(s, c);
+          const Matrix& b = a_->coupling[static_cast<size_t>(l)].host(mirror ? far.find(c, s) : fe);
+          const index_t br = mirror ? b.cols() : b.rows(), bc = mirror ? b.rows() : b.cols();
           const auto& ur = rchain[static_cast<size_t>(ii)][static_cast<size_t>(l)];
           const auto& vc = cchain[static_cast<size_t>(jj)][static_cast<size_t>(l)];
-          for (index_t q = 0; q < b.cols(); ++q) {
+          for (index_t q = 0; q < bc; ++q) {
             real_t s_acc = 0.0;
-            for (index_t p = 0; p < b.rows(); ++p)
-              s_acc += ur[static_cast<size_t>(p)] * b(p, q);
+            for (index_t p = 0; p < br; ++p)
+              s_acc += ur[static_cast<size_t>(p)] * (mirror ? b(q, p) : b(p, q));
             val += s_acc * vc[static_cast<size_t>(q)];
           }
           found = true;

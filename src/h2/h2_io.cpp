@@ -11,7 +11,8 @@ namespace h2sketch::h2 {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x4832534b45544348ull; // "H2SKETCH"
-constexpr std::uint32_t kVersion = 1;
+/// Version 2: one block per symmetric pair (mirror slots stream as 0 x 0).
+constexpr std::uint32_t kVersion = 2;
 
 template <typename T>
 void put(std::ostream& os, const T& v) {
@@ -101,7 +102,8 @@ void save_h2(std::ostream& os, const H2Matrix& a) {
 
   // Blocks.
   for (const auto& lvl : a.ranks) put_indices(os, lvl);
-  // Device-resident blocks stream out through the arenas' host mirrors.
+  // Device-resident blocks stream out through the arenas' host mirrors;
+  // mirror entries of the block lists stream as their 0 x 0 slots.
   for (const auto& lvl : a.basis)
     for (index_t i = 0; i < lvl.count(); ++i) put_matrix(os, lvl.host(i));
   for (const auto& lvl : a.coupling)

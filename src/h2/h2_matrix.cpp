@@ -104,8 +104,15 @@ void H2Matrix::validate() const {
       for (index_t j = 0; j < far.row_count(rnode); ++j) {
         const index_t e = far.row_ptr[static_cast<size_t>(rnode)] + j;
         const index_t cnode = far.col[static_cast<size_t>(e)];
-        H2S_CHECK(coupling[ul].rows(e) == rank(l, rnode) && coupling[ul].cols(e) == rank(l, cnode),
-                  "coupling dims mismatch at level " << l << " entry " << e);
+        if (is_mirror(rnode, cnode))
+          H2S_CHECK(coupling[ul].rows(e) == 0 && coupling[ul].cols(e) == 0 &&
+                        far.find(cnode, rnode) >= 0,
+                    "coupling mirror entry " << e << " at level " << l
+                                             << " is stored or has no owner");
+        else
+          H2S_CHECK(coupling[ul].rows(e) == rank(l, rnode) &&
+                        coupling[ul].cols(e) == rank(l, cnode),
+                    "coupling dims mismatch at level " << l << " entry " << e);
       }
   }
   const auto& near = mtree.near_leaf;
@@ -114,10 +121,29 @@ void H2Matrix::validate() const {
     for (index_t j = 0; j < near.row_count(rnode); ++j) {
       const index_t e = near.row_ptr[static_cast<size_t>(rnode)] + j;
       const index_t cnode = near.col[static_cast<size_t>(e)];
-      H2S_CHECK(dense.rows(e) == tree->size(leaf, rnode) &&
-                    dense.cols(e) == tree->size(leaf, cnode),
-                "dense dims mismatch at entry " << e);
+      if (is_mirror(rnode, cnode))
+        H2S_CHECK(dense.rows(e) == 0 && dense.cols(e) == 0 && near.find(cnode, rnode) >= 0,
+                  "dense mirror entry " << e << " is stored or has no owner");
+      else
+        H2S_CHECK(dense.rows(e) == tree->size(leaf, rnode) &&
+                      dense.cols(e) == tree->size(leaf, cnode),
+                  "dense dims mismatch at entry " << e);
     }
+}
+
+BsrOperands bsr_operands(const tree::LevelBlockList& list, const backend::BlockArena& arena) {
+  BsrOperands out;
+  out.blocks.reserve(static_cast<size_t>(list.count()));
+  out.ops.reserve(static_cast<size_t>(list.count()));
+  for (index_t r = 0; r + 1 < static_cast<index_t>(list.row_ptr.size()); ++r)
+    for (index_t j = 0; j < list.row_count(r); ++j) {
+      const index_t c = list.col_at(r, j);
+      const bool mirror = is_mirror(r, c);
+      const index_t e = list.row_ptr[static_cast<size_t>(r)] + j;
+      out.blocks.push_back(arena.dev(mirror ? list.find(c, r) : e));
+      out.ops.push_back(mirror ? la::Op::Trans : la::Op::None);
+    }
+  return out;
 }
 
 } // namespace h2sketch::h2

@@ -15,11 +15,21 @@
 ///  * Inner nodes store stacked transfer matrices [E_left; E_right]
 ///    ((r_left + r_right) x r_tau), implicitly defining
 ///    U_tau = diag(U_left, U_right) [E_left; E_right]  (Eq. (2)).
-///  * Each admissible pair (s, t) at its level stores a coupling matrix
-///    B_{s,t} (r_s x r_t); each inadmissible leaf pair stores a dense block.
+///  * Each admissible pair (s, t) at its level has a coupling matrix
+///    B_{s,t} (r_s x r_t); each inadmissible leaf pair has a dense block.
 ///
-/// The matrix is symmetric (V = U). All blocks are indexed in the cluster
+/// The matrix is symmetric (V = U), so every block list stores **one block
+/// per unordered pair**: the CSR lists and slot numbering keep every
+/// (s, t) entry, but only an owner entry (s <= t) holds its block; a
+/// mirror entry (s > t) has a 0 x 0 slot (no device bytes) and readers
+/// apply the (t, s) slot transposed. All blocks are indexed in the cluster
 /// tree's permuted position space, following the matrix tree's CSR lists.
+///
+/// Under weak admissibility (tree::Admissibility::weak()) this is exactly
+/// the HSS layout the ULV solver (solver/ulv.hpp) consumes: every far row
+/// holds only its sibling, so coupling slot 2p is B(2p, 2p+1) and slot
+/// 2p+1 is its mirror, and the near field is the leaf diagonal (dense
+/// slot i is leaf i).
 ///
 /// Storage is **device-resident**: each per-level family of blocks lives
 /// packed in one `backend::BlockArena` (one DeviceBuffer per level per
@@ -44,10 +54,12 @@ class H2Matrix {
   /// ((rank(l+1,2i) + rank(l+1,2i+1)) x rank(l,i)).
   std::vector<backend::BlockArena> basis;
 
-  /// coupling[l], slot e: B for the e-th CSR entry of mtree.far[l].
+  /// coupling[l], slot e: B for the e-th CSR entry of mtree.far[l]
+  /// (0 x 0 for a mirror entry).
   std::vector<backend::BlockArena> coupling;
 
-  /// Slot e: D for the e-th CSR entry of mtree.near_leaf.
+  /// Slot e: D for the e-th CSR entry of mtree.near_leaf (0 x 0 for a
+  /// mirror entry).
   backend::BlockArena dense;
 
   /// skeleton[l][i]: permuted positions selected as skeleton indices for
@@ -86,9 +98,35 @@ class H2Matrix {
   /// matrix must share its device heap.
   backend::ExecutionConfig execution_config() const;
 
+  /// y = A * x through h2_matvec (h2_matvec.hpp).
+  void matvec(batched::ExecutionContext& ctx, ConstMatrixView x, MatrixView y) const;
+
   /// Structural consistency: every dimension implied by ranks, cluster
-  /// sizes and CSR lists must match. Throws on violation.
+  /// sizes and CSR lists must match, and every mirror slot is 0 x 0 with
+  /// its owner present. Throws on violation.
   void validate() const;
 };
+
+/// The storage rule: entry (s, t) of a block list is a mirror of (t, s).
+inline bool is_mirror(index_t s, index_t t) { return s > t; }
+
+/// Calls fn(e, s, t) for every owner entry (s <= t) of `list`, in CSR
+/// order: the entries whose blocks a producer generates.
+template <typename Fn>
+void for_each_owner(const tree::LevelBlockList& list, Fn&& fn) {
+  for (index_t s = 0; s + 1 < static_cast<index_t>(list.row_ptr.size()); ++s)
+    for (index_t e = list.row_ptr[static_cast<size_t>(s)];
+         e < list.row_ptr[static_cast<size_t>(s + 1)]; ++e)
+      if (const index_t t = list.col[static_cast<size_t>(e)]; !is_mirror(s, t)) fn(e, s, t);
+}
+
+/// Every entry's operand of one block list in CSR order, for bsr_gemm: the
+/// entry's own slot of `arena` with Op::None, or for a mirror entry its
+/// owner's slot with Op::Trans.
+struct BsrOperands {
+  std::vector<ConstMatrixView> blocks;
+  std::vector<la::Op> ops;
+};
+BsrOperands bsr_operands(const tree::LevelBlockList& list, const backend::BlockArena& arena);
 
 } // namespace h2sketch::h2

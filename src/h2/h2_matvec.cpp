@@ -76,23 +76,24 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
   dev.fill_zero(yd.data, ws.used_bytes() - skip);
   dev.upload(x, xd);
 
-  // Dense near field: yd(I_tau, :) += D_{tau,b} xd(I_b, :). Issued first, on
-  // its own stream: it reads only xd and writes only yd, so it overlaps the
-  // entire low-rank pipeline and is joined right before the leaf expansion
-  // (the only other writer of yd).
+  // Dense near field: yd(I_tau, :) += D_{tau,b} xd(I_b, :), mirror blocks
+  // applied as their owner's transpose. Issued first, on its own stream: it
+  // reads only xd and writes only yd, so it overlaps the entire low-rank
+  // pipeline and is joined right before the leaf expansion (the only other
+  // writer of yd).
   {
     const auto& near = a.mtree.near_leaf;
     if (!near.empty()) {
-      std::vector<ConstMatrixView> blocks, xv;
+      BsrOperands ops = bsr_operands(near, a.dense);
+      std::vector<ConstMatrixView> xv;
       std::vector<MatrixView> yv;
-      for (index_t e = 0; e < a.dense.count(); ++e) blocks.push_back(a.dense.dev(e));
       for (index_t i = 0; i < t.nodes_at(leaf); ++i) {
         xv.push_back(xd.row_range(t.begin(leaf, i), t.size(leaf, i)));
         yv.push_back(yd.row_range(t.begin(leaf, i), t.size(leaf, i)));
       }
       ctx.device().bsr_gemm(ctx, kNearField, 1.0, {near.row_ptr.begin(), near.row_ptr.end()},
-                            {near.col.begin(), near.col.end()}, std::move(blocks), std::move(xv),
-                            std::move(yv));
+                            {near.col.begin(), near.col.end()}, std::move(ops.blocks),
+                            std::move(ops.ops), std::move(xv), std::move(yv));
     }
   }
 
@@ -145,26 +146,26 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
     }
   }
 
-  // Coupling phase: yhat[s] += B_{s,t} xhat[t] per level, conflict-free BSR.
-  // Levels are mutually independent given the finished upward pass (each
-  // writes only its own yhat[l]), so they fan out across streams.
+  // Coupling phase: yhat[s] += B_{s,t} xhat[t] per level (B_{t,s}^T for a
+  // mirror entry), conflict-free BSR. Levels are mutually independent given
+  // the finished upward pass (each writes only its own yhat[l]), so they
+  // fan out across streams.
   ctx.sync(kLowRank);
   int spill = 0;
   for (index_t l = 0; l < levels; ++l) {
     const auto& far = a.mtree.far[static_cast<size_t>(l)];
     if (far.empty()) continue;
-    std::vector<ConstMatrixView> blocks, xv;
+    BsrOperands ops = bsr_operands(far, a.coupling[static_cast<size_t>(l)]);
+    std::vector<ConstMatrixView> xv;
     std::vector<MatrixView> yv;
-    for (index_t e = 0; e < a.coupling[static_cast<size_t>(l)].count(); ++e)
-      blocks.push_back(a.coupling[static_cast<size_t>(l)].dev(e));
     for (index_t i = 0; i < t.nodes_at(l); ++i) {
       xv.push_back(xhat[static_cast<size_t>(l)][static_cast<size_t>(i)]);
       yv.push_back(yhat[static_cast<size_t>(l)][static_cast<size_t>(i)]);
     }
     const StreamId s = (l % 2 == 0) ? kLowRank : kCouplingSpill[(spill++) % 2];
     ctx.device().bsr_gemm(ctx, s, 1.0, {far.row_ptr.begin(), far.row_ptr.end()},
-                          {far.col.begin(), far.col.end()}, std::move(blocks), std::move(xv),
-                          std::move(yv));
+                          {far.col.begin(), far.col.end()}, std::move(ops.blocks),
+                          std::move(ops.ops), std::move(xv), std::move(yv));
   }
   // Downward pass consumes every level's yhat: join the coupling fan-out
   // (the near-field stream keeps running).
@@ -222,6 +223,10 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
   // back over the marshaling boundary.
   ctx.sync_all();
   dev.download(yd, y);
+}
+
+void H2Matrix::matvec(batched::ExecutionContext& ctx, ConstMatrixView x, MatrixView y) const {
+  h2_matvec(ctx, *this, x, y);
 }
 
 void h2_matvec(const H2Matrix& a, ConstMatrixView x, MatrixView y) {

@@ -169,21 +169,14 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
       pos.resize(static_cast<size_t>(t.size(leaf, i)));
       std::iota(pos.begin(), pos.end(), t.begin(leaf, i));
     }
-    for (index_t r = 0; r < t.nodes_at(leaf); ++r)
-      for (index_t j = 0; j < near.row_count(r); ++j) {
-        const index_t e = near.row_ptr[static_cast<size_t>(r)] + j;
-        const index_t c = near.col[static_cast<size_t>(e)];
-        surrogate_.dense.set_shape(e, t.size(leaf, r), t.size(leaf, c));
-      }
+    h2::for_each_owner(near, [&](index_t e, index_t r, index_t c) {
+      surrogate_.dense.set_shape(e, t.size(leaf, r), t.size(leaf, c));
+    });
     surrogate_.dense.allocate(ctx.device());
-    for (index_t r = 0; r < t.nodes_at(leaf); ++r)
-      for (index_t j = 0; j < near.row_count(r); ++j) {
-        const index_t e = near.row_ptr[static_cast<size_t>(r)] + j;
-        reqs.push_back({leaf_positions[static_cast<size_t>(r)],
-                        leaf_positions[static_cast<size_t>(
-                            near.col[static_cast<size_t>(e)])],
-                        surrogate_.dense.dev(e)});
-      }
+    h2::for_each_owner(near, [&](index_t e, index_t r, index_t c) {
+      reqs.push_back({leaf_positions[static_cast<size_t>(r)],
+                      leaf_positions[static_cast<size_t>(c)], surrogate_.dense.dev(e)});
+    });
     ctx.device().generate(ctx, batched::kEntryGenStream, pgen, std::move(reqs));
   }
 
@@ -202,12 +195,13 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
   real_t near_sq = 0.0;
   {
     // The dense blocks just landed in the device arena; accumulate their
-    // Frobenius mass in place rather than pulling host mirrors down.
+    // Frobenius mass in place rather than pulling host mirrors down. An
+    // off-diagonal owner block also stands for its 0 x 0 mirror.
     backend::KernelScope scope(&ctx.device());
-    for (index_t e = 0; e < surrogate_.dense.count(); ++e) {
+    h2::for_each_owner(surrogate_.mtree.near_leaf, [&](index_t e, index_t r, index_t c) {
       const real_t f = la::norm_f(surrogate_.dense.dev(e));
-      near_sq += f * f;
-    }
+      near_sq += (r < c ? 2 : 1) * f * f;
+    });
   }
   const real_t norm_anchor = near_sq > 0 ? std::sqrt(near_sq) : real_t(1);
   const real_t abs_tol = opts.tol * opts.id_tol_factor * norm_anchor;
@@ -277,31 +271,25 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
     surrogate_.basis[ul].commit(ctx.device());
   }
 
-  // Exact coupling at the selected skeletons, all levels in one batch.
+  // Exact coupling at the selected skeletons (owner entries), all levels in
+  // one batch.
   {
     std::vector<BlockRequest> reqs;
     reqs.reserve(static_cast<size_t>(surrogate_.mtree.total_far_blocks()));
     for (index_t l = 0; l < t.num_levels(); ++l) {
       const auto ul = static_cast<size_t>(l);
       const auto& far = surrogate_.mtree.far[ul];
-      for (index_t r = 0; r < t.nodes_at(l); ++r)
-        for (index_t j = 0; j < far.row_count(r); ++j) {
-          const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
-          const index_t c = far.col[static_cast<size_t>(e)];
-          const auto& rs = surrogate_.skeleton[ul][static_cast<size_t>(r)];
-          const auto& cs = surrogate_.skeleton[ul][static_cast<size_t>(c)];
-          surrogate_.coupling[ul].set_shape(e, static_cast<index_t>(rs.size()),
-                                            static_cast<index_t>(cs.size()));
-        }
+      const auto& skel = surrogate_.skeleton[ul];
+      h2::for_each_owner(far, [&](index_t e, index_t r, index_t c) {
+        surrogate_.coupling[ul].set_shape(
+            e, static_cast<index_t>(skel[static_cast<size_t>(r)].size()),
+            static_cast<index_t>(skel[static_cast<size_t>(c)].size()));
+      });
       surrogate_.coupling[ul].allocate(ctx.device());
-      for (index_t r = 0; r < t.nodes_at(l); ++r)
-        for (index_t j = 0; j < far.row_count(r); ++j) {
-          const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
-          const index_t c = far.col[static_cast<size_t>(e)];
-          reqs.push_back({surrogate_.skeleton[ul][static_cast<size_t>(r)],
-                          surrogate_.skeleton[ul][static_cast<size_t>(c)],
-                          surrogate_.coupling[ul].dev(e)});
-        }
+      h2::for_each_owner(far, [&](index_t e, index_t r, index_t c) {
+        reqs.push_back({skel[static_cast<size_t>(r)], skel[static_cast<size_t>(c)],
+                        surrogate_.coupling[ul].dev(e)});
+      });
     }
     ctx.device().generate(ctx, batched::kEntryGenStream, pgen, std::move(reqs));
   }

@@ -5,10 +5,11 @@
 
 #include "backend/block_arena.hpp"
 #include "batched/device.hpp"
-#include "solver/hss_matrix.hpp"
+#include "solver/hss_construction.hpp"
 
 /// \file ulv.hpp
-/// ULV Cholesky factorization of a symmetric positive definite HssMatrix and
+/// ULV Cholesky factorization of a symmetric positive definite HSS matrix
+/// (a weak-admissibility H2Matrix, see hss_construction.hpp) and
 /// the forward/backward solve sweeps (the missing piece the compressed
 /// frontal matrices of Fig. 6(b) feed into).
 ///
@@ -128,7 +129,9 @@ class UlvCholesky {
 
 /// ULV-factor an SPD HssMatrix, retrying failed pivots with an escalating
 /// ridge per `opts` (see UlvOptions). Throws `NumericalError` when the
-/// compressed matrix is not numerically SPD even after the last ridge.
+/// compressed matrix is not numerically SPD even after the last ridge, and
+/// std::runtime_error when `a` does not have the weak-admissibility (HSS)
+/// block structure.
 UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
                        const UlvOptions& opts);
 

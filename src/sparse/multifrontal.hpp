@@ -40,10 +40,11 @@ struct MultifrontalOptions {
   index_t root_leaf_size = 32; ///< cluster-tree leaf size over the separator
 };
 
-/// The compressed-root state: the HSS form, its ULV factorization, and the
-/// separator-geometry permutation tying them to root_vars order.
+/// The compressed-root state: the HSS form (a weak-admissibility
+/// H2Matrix), its ULV factorization, and the separator-geometry
+/// permutation tying them to root_vars order.
 struct RootCompression {
-  solver::HssMatrix hss;
+  h2::H2Matrix hss;
   solver::UlvCholesky ulv;
   /// permuted position -> index into root_vars (the cluster tree's perm).
   std::vector<index_t> perm;

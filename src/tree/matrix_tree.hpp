@@ -31,6 +31,8 @@ struct LevelBlockList {
   index_t col_at(index_t r, index_t j) const {
     return col[static_cast<size_t>(row_ptr[static_cast<size_t>(r)] + j)];
   }
+  /// Entry index of (r, c), or -1 when the pair is not in the list.
+  index_t find(index_t r, index_t c) const;
   bool empty() const { return col.empty(); }
 };
 

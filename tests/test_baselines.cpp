@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "baselines/topdown.hpp"
 #include "common/random.hpp"
 #include "core/construction.hpp"
@@ -103,52 +105,58 @@ TEST(Hss, WeakAdmissibilityViaAlgorithmOne) {
   opts.sample_block = 16;
   opts.initial_samples = 32;
   auto res = solver::build_hss(tr, sampler, gen, opts);
-  EXPECT_LT(rel_fro_error(res.matrix.densify().view(), kd.view()), 1e-6);
+  EXPECT_LT(rel_fro_error(h2::densify(res.matrix).view(), kd.view()), 1e-6);
   EXPECT_EQ(res.stats.csp, 1);
 }
 
-TEST(Hss, IsWeakAdmissibilityConstructH2Repacked) {
-  // build_hss is Algorithm 1 under weak admissibility plus a repack into
-  // HssMatrix storage: on the same inputs every HSS block is bitwise the
-  // corresponding block of construct_h2(Admissibility::weak()).
+TEST(Hss, StoresOneBitwiseKernelCouplingPerSiblingPair) {
+  // build_hss is construct_h2 under weak admissibility, and the H2 format
+  // stores one block per symmetric pair: coupling slot 2p holds
+  // B(2p, 2p+1) = K(skel_2p, skel_2p+1), the mirror slot 2p+1 is 0 x 0,
+  // and the (2p+1, 2p) block the readers apply, B(2p, 2p+1)^T, is bitwise
+  // K(skel_2p+1, skel_2p) for the library's symmetric kernels. Dense slot i
+  // is leaf i's diagonal block.
   auto tr = test_util::build_cube_tree(512, 1, 47, 32);
   kern::ExponentialKernel k(0.5);
   const Matrix kd = dense_kernel_matrix(*tr, k);
-  // Separate generators: entries_generated is cumulative per generator.
-  kern::KernelEntryGenerator gen_hss(*tr, k), gen_h2(*tr, k);
+  kern::KernelEntryGenerator gen(*tr, k);
   core::ConstructionOptions opts;
   opts.tol = 1e-7;
   opts.sample_block = 16;
   opts.initial_samples = 32;
+  kern::DenseMatrixSampler sampler(kd.view());
+  auto res = solver::build_hss(tr, sampler, gen, opts);
+  const solver::HssMatrix& hss = res.matrix;
+  EXPECT_EQ(res.stats.csp, 1);
 
-  kern::DenseMatrixSampler s_hss(kd.view()), s_h2(kd.view());
-  auto r_hss = solver::build_hss(tr, s_hss, gen_hss, opts);
-  auto r_h2 = core::construct_h2(tr, Admissibility::weak(), s_h2, gen_h2, opts);
-  const solver::HssMatrix& hss = r_hss.matrix;
-  const h2::H2Matrix& h2m = r_h2.matrix;
-
-  EXPECT_EQ(r_hss.stats.total_samples, r_h2.stats.total_samples);
-  EXPECT_EQ(r_hss.stats.csp, 1);
-  ASSERT_EQ(hss.ranks, h2m.ranks);
-  ASSERT_EQ(hss.skeleton, h2m.skeleton);
+  const kern::KernelEntryGenerator ref(*tr, k);
+  const auto block = [&ref](const std::vector<index_t>& rows, const std::vector<index_t>& cols) {
+    Matrix out(static_cast<index_t>(rows.size()), static_cast<index_t>(cols.size()));
+    ref.generate_block(rows, cols, out.view());
+    return out;
+  };
   const index_t leaf = tr->leaf_level();
   ASSERT_GE(leaf, 2);
-  for (index_t i = 0; i < tr->nodes_at(leaf); ++i)
-    EXPECT_EQ(max_abs_diff(hss.leaf_diag.host(i).view(), h2m.dense.host(i).view()), 0.0)
-        << "leaf " << i;
+  for (index_t i = 0; i < tr->nodes_at(leaf); ++i) {
+    ASSERT_EQ(hss.mtree.near_leaf.row_count(i), 1);
+    ASSERT_EQ(hss.mtree.near_leaf.col_at(i, 0), i);
+    std::vector<index_t> pos(static_cast<size_t>(tr->size(leaf, i)));
+    std::iota(pos.begin(), pos.end(), tr->begin(leaf, i));
+    EXPECT_EQ(max_abs_diff(hss.dense.host(i).view(), block(pos, pos).view()), 0.0) << "leaf " << i;
+  }
   for (index_t l = 1; l < tr->num_levels(); ++l) {
     const auto ul = static_cast<size_t>(l);
-    for (index_t i = 0; i < tr->nodes_at(l); ++i)
-      EXPECT_EQ(max_abs_diff(hss.generators[ul].host(i).view(), h2m.basis[ul].host(i).view()),
-                0.0)
-          << "level " << l << " node " << i;
     for (index_t p = 0; p < tr->nodes_at(l) / 2; ++p) {
-      const Matrix& b = h2m.coupling[ul].host(2 * p);
-      const Matrix& twin = h2m.coupling[ul].host(2 * p + 1);
-      EXPECT_EQ(max_abs_diff(hss.coupling[ul].host(p).view(), b.view()), 0.0)
+      ASSERT_EQ(hss.mtree.far[ul].find(2 * p, 2 * p + 1), 2 * p);
+      ASSERT_EQ(hss.mtree.far[ul].find(2 * p + 1, 2 * p), 2 * p + 1);
+      const auto& s0 = hss.skeleton[ul][static_cast<size_t>(2 * p)];
+      const auto& s1 = hss.skeleton[ul][static_cast<size_t>(2 * p + 1)];
+      const Matrix& b = hss.coupling[ul].host(2 * p);
+      EXPECT_EQ(hss.coupling[ul].rows(2 * p + 1), 0) << "level " << l << " pair " << p;
+      EXPECT_EQ(hss.coupling[ul].cols(2 * p + 1), 0) << "level " << l << " pair " << p;
+      EXPECT_EQ(max_abs_diff(b.view(), block(s0, s1).view()), 0.0)
           << "level " << l << " pair " << p;
-      // The repack keeps only slot 2p: HssMatrix applies B(2p, 2p+1)^T for
-      // the (2p+1, 2p) block, which is the H2 twin slot exactly.
+      const Matrix twin = block(s1, s0);
       ASSERT_EQ(twin.rows(), b.cols());
       ASSERT_EQ(twin.cols(), b.rows());
       for (index_t c = 0; c < b.cols(); ++c)

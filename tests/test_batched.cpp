@@ -307,10 +307,13 @@ TEST_P(RegistryBackendTest, EntryGenMatchesDirectEvaluationBitwise) {
   EXPECT_EQ(ctx_.kernel_launches(), pinned(GetParam(), 2, 1));
 }
 
-/// Random CSR block pattern over `rows` x `cols` nodes with uniform block
-/// dims; reference result computed densely. Operands are device-resident.
+/// Random CSR block pattern over `rows` x `cols` nodes with uniform
+/// effective block dims bm x bn; every other entry is stored bn x bm and
+/// applied with Op::Trans (the mirror entries of a symmetric operator).
+/// Reference result computed densely. Operands are device-resident.
 struct BsrFixture {
   std::vector<index_t> row_ptr, col;
+  std::vector<la::Op> ops;
   std::vector<Matrix> block_store, x_store, y_store, y_ref;
   std::vector<backend::DeviceMatrix> dblocks, dx, dy;
   std::vector<ConstMatrixView> blocks, xv;
@@ -325,8 +328,11 @@ struct BsrFixture {
         if (rng.next_real() < density) col.push_back(c);
       row_ptr.push_back(static_cast<index_t>(col.size()));
     }
-    for (size_t e = 0; e < col.size(); ++e)
-      block_store.push_back(random_matrix(bm, bn, seed + 100 + e));
+    for (size_t e = 0; e < col.size(); ++e) {
+      ops.push_back(e % 2 == 0 ? la::Op::None : la::Op::Trans);
+      block_store.push_back(ops.back() == la::Op::None ? random_matrix(bm, bn, seed + 100 + e)
+                                                       : random_matrix(bn, bm, seed + 100 + e));
+    }
     for (index_t c = 0; c < cols; ++c) x_store.push_back(random_matrix(bn, ncols, seed + 500 + c));
     for (index_t r = 0; r < rows; ++r) {
       y_store.push_back(random_matrix(bm, ncols, seed + 900 + r));
@@ -357,7 +363,7 @@ struct BsrFixture {
   void reference(real_t alpha) {
     for (size_t r = 0; r + 1 < row_ptr.size(); ++r)
       for (index_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e)
-        la::gemm(alpha, block_store[static_cast<size_t>(e)].view(), la::Op::None,
+        la::gemm(alpha, block_store[static_cast<size_t>(e)].view(), ops[static_cast<size_t>(e)],
                  x_store[static_cast<size_t>(col[static_cast<size_t>(e)])].view(), la::Op::None,
                  1.0, y_ref[r].view());
   }
@@ -367,7 +373,7 @@ TEST_P(RegistryBackendTest, BsrGemmMatchesDenseReferenceBitwise) {
   BsrFixture f(dev(), 6, 5, 4, 3, 2, 0.5, 42);
   f.reference(-1.0);
   const index_t sub =
-      dev().bsr_gemm(ctx_, kSampleStream, -1.0, f.row_ptr, f.col, f.blocks, f.xv, f.yv);
+      dev().bsr_gemm(ctx_, kSampleStream, -1.0, f.row_ptr, f.col, f.blocks, f.ops, f.xv, f.yv);
   ctx_.sync(kSampleStream);
   EXPECT_EQ(sub, f.max_blocks_per_row());
   for (size_t r = 0; r < f.dy.size(); ++r)
@@ -411,7 +417,8 @@ TEST_P(RegistryBackendTest, BsrGemmHandlesRaggedRowsAndHeterogeneousBlocks) {
     dys[static_cast<size_t>(r)].resize(dev(), row_m[static_cast<size_t>(r)], 2);
     yv.push_back(dys[static_cast<size_t>(r)].view());
   }
-  const index_t sub = dev().bsr_gemm(ctx_, kSampleStream, 1.0, row_ptr, col, bv, xv, yv);
+  const index_t sub = dev().bsr_gemm(ctx_, kSampleStream, 1.0, row_ptr, col, bv,
+                                     std::vector<la::Op>(bv.size(), la::Op::None), xv, yv);
   ctx_.sync(kSampleStream);
   EXPECT_EQ(sub, 3);
   la::gemm(1.0, bl[0].view(), la::Op::None, xs[2].view(), la::Op::None, 1.0, yr[1].view());
@@ -428,7 +435,7 @@ TEST_P(RegistryBackendTest, BsrGemmEmptyPatternIsNoop) {
   std::vector<index_t> row_ptr = {0, 0, 0};
   Matrix y0(3, 2), y1(3, 2);
   std::vector<MatrixView> yv = {y0.view(), y1.view()};
-  const index_t sub = dev().bsr_gemm(ctx_, kSampleStream, 1.0, row_ptr, {}, {}, {}, yv);
+  const index_t sub = dev().bsr_gemm(ctx_, kSampleStream, 1.0, row_ptr, {}, {}, {}, {}, yv);
   EXPECT_EQ(sub, 0);
   EXPECT_EQ(ctx_.kernel_launches(), 0);
 }

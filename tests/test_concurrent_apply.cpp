@@ -20,9 +20,9 @@
 /// compressed operator is read-only after construction, so N threads
 /// applying the *same* operator through *distinct* ExecutionContexts must
 /// race-check clean and produce results bitwise equal to a serial
-/// application. Covers h2_matvec, HssMatrix::matvec, UlvCholesky::solve /
-/// solve_many, and the H2Sampler whose embedded context is internally
-/// serialized.
+/// application. Covers h2_matvec on a strong- and a weak-admissibility
+/// (HSS) H2Matrix, UlvCholesky::solve / solve_many, and the H2Sampler
+/// whose embedded context is internally serialized.
 
 namespace h2sketch {
 namespace {
@@ -37,7 +37,7 @@ struct SharedOperators {
   kern::ExponentialKernel base{0.3};
   kern::RidgeKernel k{base, 1.0};
   h2::H2Matrix h2m;
-  solver::HssMatrix hss;
+  h2::H2Matrix hss; ///< the HSS operator: a weak-admissibility H2Matrix
   solver::UlvCholesky ulv;
 
   SharedOperators() {

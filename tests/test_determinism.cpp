@@ -142,7 +142,7 @@ UlvOutput build_ulv_with_threads(int threads) {
     solver::UlvCholesky f = solver::ulv_factor(res.matrix, ctx);
 
     UlvOutput out;
-    out.dense = res.matrix.densify();
+    out.dense = h2::densify(res.matrix);
     out.root = to_matrix(f.root_factor().view());
     Matrix b1(600, 1), bn(600, 3);
     fill_gaussian(b1.view(), GaussianStream(606));

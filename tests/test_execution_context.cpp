@@ -163,11 +163,17 @@ TEST(ExecutionContext, NearFieldOnlyConstructionLaunchCountsArePinned) {
     ExecutionContext ctx(mode);
     auto res = core::construct_h2(tr, Admissibility::general(0.0), sampler, gen, opts, ctx);
     ASSERT_FALSE(res.matrix.mtree.has_any_far());
-    const index_t near_blocks = res.matrix.mtree.near_leaf.count();
+    // Only owner entries (row <= col) store and generate a block.
+    const auto& near = res.matrix.mtree.near_leaf;
+    index_t stored_blocks = 0;
+    for (index_t r = 0; r < tr->nodes_at(tr->leaf_level()); ++r)
+      for (index_t j = 0; j < near.row_count(r); ++j)
+        if (!h2::is_mirror(r, near.col_at(r, j))) ++stored_blocks;
+    ASSERT_EQ(stored_blocks, 3);
     // Exactly one operation runs: the near-field entry generation. Batched:
-    // one launch total. Naive: one launch per near block. Empty far levels
-    // contribute zero in both backends.
-    EXPECT_EQ(res.stats.kernel_launches, mode == LaunchMode::Batched ? 1 : near_blocks);
+    // one launch total. Naive: one launch per stored near block. Empty far
+    // levels contribute zero in both backends.
+    EXPECT_EQ(res.stats.kernel_launches, mode == LaunchMode::Batched ? 1 : stored_blocks);
   }
 }
 

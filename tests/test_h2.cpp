@@ -231,14 +231,49 @@ ChebBlocks reference_cheb_blocks(const H2Matrix& a, const kern::KernelFunction& 
 }
 
 /// Device bytes of an arena laid out by host staging: the layout the
-/// batched build's write-through arenas must reproduce.
-std::size_t staged_bytes(const std::vector<Matrix>& blocks) {
+/// batched build's write-through arenas must reproduce. With `list`, the
+/// blocks are that list's per-entry references and mirror entries stage
+/// nothing (the one-block-per-symmetric-pair rule).
+std::size_t staged_bytes(const std::vector<Matrix>& blocks,
+                         const tree::LevelBlockList* list = nullptr) {
   backend::BlockArena arena;
   arena.reset(static_cast<index_t>(blocks.size()));
-  for (size_t i = 0; i < blocks.size(); ++i)
-    arena.stage(static_cast<index_t>(i), to_matrix(blocks[i].view()));
+  if (list != nullptr)
+    for_each_owner(*list, [&](index_t e, index_t, index_t) {
+      arena.stage(e, to_matrix(blocks[static_cast<size_t>(e)].view()));
+    });
+  else
+    for (size_t i = 0; i < blocks.size(); ++i)
+      arena.stage(static_cast<index_t>(i), to_matrix(blocks[i].view()));
   arena.commit(*backend::default_backend().device);
   return arena.device_bytes();
+}
+
+/// Every CSR entry of `list` against its per-entry reference: a stored
+/// slot bitwise, a mirror slot 0 x 0 with its owner's transpose bitwise.
+::testing::AssertionResult list_matches(const tree::LevelBlockList& list,
+                                        const backend::BlockArena& arena,
+                                        const std::vector<Matrix>& ref) {
+  if (arena.count() != static_cast<index_t>(ref.size()))
+    return ::testing::AssertionFailure() << "slot count " << arena.count();
+  for (index_t r = 0; r + 1 < static_cast<index_t>(list.row_ptr.size()); ++r)
+    for (index_t j = 0; j < list.row_count(r); ++j) {
+      const index_t c = list.col_at(r, j);
+      const index_t e = list.row_ptr[static_cast<size_t>(r)] + j;
+      ::testing::AssertionResult ok = ::testing::AssertionSuccess();
+      if (!is_mirror(r, c)) {
+        ok = same_bits(arena.host(e), ref[static_cast<size_t>(e)]);
+      } else if (arena.rows(e) != 0 || arena.cols(e) != 0) {
+        ok = ::testing::AssertionFailure() << "mirror slot is stored";
+      } else {
+        const Matrix& owner = arena.host(list.find(c, r));
+        Matrix t(owner.cols(), owner.rows());
+        copy_transposed(owner.view(), t.view());
+        ok = same_bits(t, ref[static_cast<size_t>(e)]);
+      }
+      if (!ok) return ok << " at entry " << e << " (" << r << ", " << c << ")";
+    }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(ChebH2Reference, EveryBlockIsBitwiseThePerEntryReferenceAtWidths124) {
@@ -261,22 +296,18 @@ TEST(ChebH2Reference, EveryBlockIsBitwiseThePerEntryReferenceAtWidths124) {
         if (!ref) {
           ref = reference_cheb_blocks(a, *k, 3);
           for (size_t l = 0; l < ref->basis.size(); ++l)
-            ref_bytes += staged_bytes(ref->basis[l]) + staged_bytes(ref->coupling[l]);
-          ref_bytes += staged_bytes(ref->dense);
+            ref_bytes += staged_bytes(ref->basis[l]) +
+                         staged_bytes(ref->coupling[l], &a.mtree.far[l]);
+          ref_bytes += staged_bytes(ref->dense, &a.mtree.near_leaf);
         }
         for (size_t l = 0; l < ref->basis.size(); ++l) {
           for (size_t i = 0; i < ref->basis[l].size(); ++i)
             ASSERT_TRUE(same_bits(a.basis[l].host(static_cast<index_t>(i)), ref->basis[l][i]))
                 << "basis/transfer level " << l << " node " << i;
-          ASSERT_EQ(a.coupling[l].count(), static_cast<index_t>(ref->coupling[l].size()));
-          for (size_t e = 0; e < ref->coupling[l].size(); ++e)
-            ASSERT_TRUE(same_bits(a.coupling[l].host(static_cast<index_t>(e)), ref->coupling[l][e]))
-                << "coupling level " << l << " block " << e;
+          ASSERT_TRUE(list_matches(a.mtree.far[l], a.coupling[l], ref->coupling[l]))
+              << "coupling level " << l;
         }
-        ASSERT_EQ(a.dense.count(), static_cast<index_t>(ref->dense.size()));
-        for (size_t e = 0; e < ref->dense.size(); ++e)
-          ASSERT_TRUE(same_bits(a.dense.host(static_cast<index_t>(e)), ref->dense[e]))
-              << "near block " << e;
+        ASSERT_TRUE(list_matches(a.mtree.near_leaf, a.dense, ref->dense)) << "near field";
         EXPECT_EQ(a.device_bytes(), ref_bytes);
       }
     }

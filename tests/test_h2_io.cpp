@@ -110,6 +110,27 @@ TEST(H2Io, TruncatedStreamThrows) {
   EXPECT_THROW(load_h2(cut), std::runtime_error);
 }
 
+TEST(H2Io, VersionOneStreamIsRejected) {
+  // Version 1 stored both blocks of every symmetric pair; version 2 stores
+  // one, with 0 x 0 mirror slots. The stream layout (magic, then a uint32
+  // version) is otherwise unchanged, so a version-1 header must be refused
+  // up front rather than misread.
+  const H2Matrix a = make_cheb(200, 86);
+  std::stringstream ss;
+  save_h2(ss, a);
+  std::string bytes = ss.str();
+  const std::uint32_t v1 = 1;
+  bytes.replace(sizeof(std::uint64_t), sizeof(v1), reinterpret_cast<const char*>(&v1),
+                sizeof(v1));
+  std::stringstream old(bytes);
+  try {
+    load_h2(old);
+    FAIL() << "version-1 stream accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"), std::string::npos) << e.what();
+  }
+}
+
 TEST(H2Io, MissingFileThrows) {
   EXPECT_THROW(load_h2_file("/nonexistent/path/matrix.bin"), std::runtime_error);
 }

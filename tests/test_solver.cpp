@@ -6,6 +6,7 @@
 #include "batched/device.hpp"
 #include "common/random.hpp"
 #include "core/construction.hpp"
+#include "h2/h2_dense.hpp"
 #include "h2/h2_matvec.hpp"
 #include "kernels/dense_sampler.hpp"
 #include "kernels/kernels.hpp"
@@ -16,8 +17,8 @@
 #include "test_common.hpp"
 
 /// \file test_solver.cpp
-/// The HSS/ULV solver subsystem: genuine bottom-up HSS construction into the
-/// dedicated generator storage, ULV Cholesky factorization + solve sweeps,
+/// The HSS/ULV solver subsystem: bottom-up HSS construction (Algorithm 1
+/// under weak admissibility), ULV Cholesky factorization + solve sweeps,
 /// the batched potrf/trsm primitives they launch, and the pcg driver that
 /// uses a coarse HSS-ULV factorization to precondition the H2 matvec.
 
@@ -53,7 +54,7 @@ TEST(HssConstruction, DensifiedMatrixMatchesKernelMatrix) {
   opts.initial_samples = 32;
   auto res = build_hss(tr, sampler, gen, opts);
   res.matrix.validate();
-  EXPECT_LT(rel_fro_error(res.matrix.densify().view(), kd.view()), 1e-5);
+  EXPECT_LT(rel_fro_error(h2::densify(res.matrix).view(), kd.view()), 1e-5);
   EXPECT_EQ(res.stats.csp, 1);
   EXPECT_GT(res.stats.total_samples, 0);
   EXPECT_EQ(res.stats.total_samples, sampler.samples_taken());
@@ -73,7 +74,7 @@ TEST(HssConstruction, AdaptiveSamplingAddsRoundsWhenInitialBlockIsSmall) {
   opts.initial_samples = 8; // far below the 3D ranks: must adapt
   auto res = build_hss(tr, sampler, gen, opts);
   EXPECT_GT(res.stats.sample_rounds, 1);
-  EXPECT_LT(rel_fro_error(res.matrix.densify().view(), kd.view()), 5e-4);
+  EXPECT_LT(rel_fro_error(h2::densify(res.matrix).view(), kd.view()), 5e-4);
 }
 
 TEST(BatchedSolve, PotrfAndTrsmMatchReferenceInBothBackends) {
@@ -219,6 +220,25 @@ TEST(Ulv, ThrowsOnIndefiniteMatrix) {
   opts.sample_block = 16;
   opts.initial_samples = 32;
   auto res = build_hss(tr, sampler, gen, opts);
+  EXPECT_THROW(ulv_factor(res.matrix), std::runtime_error);
+}
+
+TEST(Ulv, RejectsStrongAdmissibilityH2) {
+  // ulv_factor takes any H2Matrix but factors only the weak-admissibility
+  // (HSS) block structure: a strong-admissibility build, with off-diagonal
+  // near blocks and several far blocks per row, is refused up front.
+  auto tr = test_util::build_cube_tree(512, 2, 77, 32);
+  kern::ExponentialKernel base(0.3);
+  kern::RidgeKernel k(base, 1.0);
+  const Matrix kd = dense_kernel_matrix(*tr, k);
+  kern::DenseMatrixSampler sampler(kd.view());
+  kern::KernelEntryGenerator gen(*tr, k);
+  core::ConstructionOptions opts;
+  opts.tol = 1e-6;
+  opts.sample_block = 16;
+  opts.initial_samples = 32;
+  auto res = core::construct_h2(tr, tree::Admissibility::general(0.7), sampler, gen, opts);
+  ASSERT_GT(res.matrix.mtree.csp(), 1);
   EXPECT_THROW(ulv_factor(res.matrix), std::runtime_error);
 }
 
