@@ -10,12 +10,16 @@
 /// copies: its launch count must be identical to the batched CPU run (the
 /// dispatch table only changes who owns memory), and its host<->device
 /// byte counters report the marshaling traffic a PCIe bus would carry.
-/// Results go to BENCH_ablation_launches.json.
+/// Results go to BENCH_ablation_launches.json, stamped with the host's
+/// hardware threads and the pool width (`threads`, set by
+/// H2SKETCH_NUM_THREADS).
 
 #include <fstream>
+#include <thread>
 
 #include "backend/registry.hpp"
 #include "bench_common.hpp"
+#include "common/parallel.hpp"
 
 using namespace h2sketch;
 using namespace h2sketch::bench;
@@ -127,7 +131,9 @@ int main(int argc, char** argv) {
   std::ofstream json(json_name);
   json << "{\n  \"bench\": \"ablation_launches\",\n  \"mode\": \""
        << (smoke ? "smoke" : (large ? "large" : "full"))
-       << "\",\n  \"workload\": \"3D cube covariance, exponential kernel, tol=1e-6, leaf="
+       << "\",\n  \"hardware_threads\": " << std::thread::hardware_concurrency()
+       << ",\n  \"threads\": " << num_threads()
+       << ",\n  \"workload\": \"3D cube covariance, exponential kernel, tol=1e-6, leaf="
        << leaf << ", eta=" << eta
        << "\",\n  \"note\": \"launches_simdevice must equal launches_batched (the device "
        << "backend changes memory ownership, not launch structure); bytes_* are the "

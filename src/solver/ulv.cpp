@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "backend/registry.hpp"
@@ -25,6 +26,16 @@ void apply_q_right(ConstMatrixView qr, const std::vector<real_t>& tau, MatrixVie
   copy_transposed(bt.view(), b);
 }
 
+/// The reduced generator R of a node: the upper triangle of the leading
+/// r x r block of its Householder `qr` panel, copied into a zeroed local
+/// matrix (the factor keeps no separate R panel).
+Matrix reduced_generator(ConstMatrixView qr, index_t r) {
+  Matrix u(r, r);
+  for (index_t jj = 0; jj < r; ++jj)
+    for (index_t ii = 0; ii <= jj; ++ii) u(ii, jj) = qr(ii, jj);
+  return u;
+}
+
 /// Merge a sibling pair into the parent-local (or root) diagonal:
 /// dst = [S_1, R_1 B R_2^T; (.)^T, S_2] from the children's Schur
 /// complements, reduced generators and the pair's coupling block
@@ -45,64 +56,57 @@ void merge_siblings(ConstMatrixView s1, ConstMatrixView u1, index_t r1, ConstMat
 }
 
 /// Assemble the node-local diagonal D and merged generator G for one node,
-/// then rotate: qr <- QR(G), utilde <- R, dhat <- Q^T D Q. The panels are
-/// slots of the factor's per-level device arenas (layout
-/// [qr x nodes][dhat x nodes][utilde x nodes]); the body runs inside a
-/// batched launch, so it may touch device views directly.
+/// then rotate: qr <- QR(G), dhat <- Q^T D Q. `qr` is a slot of the
+/// factor's per-level panel arena (layout [qr x nodes][elim x nodes]);
+/// `dhat` holds each level's rotated diagonals for the duration of the
+/// factorization only. The body runs inside a batched launch, so it may
+/// touch device views directly.
 void assemble_and_rotate(const HssMatrix& a, const std::vector<std::vector<UlvNode>>& nodes,
-                         std::vector<backend::BlockArena>& panels, index_t level, index_t i,
+                         std::vector<backend::BlockArena>& panels,
+                         std::vector<backend::BlockArena>& dhat, index_t level, index_t i,
                          real_t ridge, UlvNode& nd) {
   const index_t leaf = a.leaf_level();
   const auto ul = static_cast<size_t>(level);
   const index_t n = nd.n_loc;
   const index_t r = nd.rank;
-  const index_t nnodes = a.tree->nodes_at(level);
-  backend::BlockArena& pa = panels[ul];
-  MatrixView qr = pa.dev(i);
-  MatrixView dhat = pa.dev(nnodes + i);
+  MatrixView qr = panels[ul].dev(i);
+  MatrixView dh = dhat[ul].dev(i);
 
-  // Local diagonal block. The ridge enters the factorization only here, at
-  // the leaf diagonals: bumping every leaf block by ridge*I is exactly
-  // A + ridge*I, and the Schur complements propagate it upward.
   if (level == leaf) {
-    copy(a.dense.dev(i), dhat);
+    // Local diagonal block and generator U. The ridge enters the
+    // factorization only here, at the leaf diagonals: bumping every leaf
+    // block by ridge*I is exactly A + ridge*I, and the Schur complements
+    // propagate it upward.
+    copy(a.dense.dev(i), dh);
     if (ridge != real_t{0})
-      for (index_t k = 0; k < n; ++k) dhat(k, k) += ridge;
-  } else {
-    const index_t cn = a.tree->nodes_at(level + 1);
-    const backend::BlockArena& cp = panels[ul + 1];
-    const UlvNode& c1 = nodes[ul + 1][static_cast<size_t>(2 * i)];
-    const UlvNode& c2 = nodes[ul + 1][static_cast<size_t>(2 * i + 1)];
-    merge_siblings(cp.dev(cn + 2 * i).block(0, 0, c1.rank, c1.rank), cp.dev(2 * cn + 2 * i),
-                   c1.rank, cp.dev(cn + 2 * i + 1).block(0, 0, c2.rank, c2.rank),
-                   cp.dev(2 * cn + 2 * i + 1), c2.rank, a.coupling[ul + 1].dev(2 * i), dhat);
-  }
-
-  // Merged generator: U at the leaf, [R_1 E_1; R_2 E_2] above. The root
-  // (level 0) never reaches this function.
-  if (level == leaf) {
+      for (index_t k = 0; k < n; ++k) dh(k, k) += ridge;
     copy(a.basis[ul].dev(i), qr);
   } else {
-    const index_t cn = a.tree->nodes_at(level + 1);
+    // Merged diagonal and generator [R_1 E_1; R_2 E_2] from the children's
+    // Schur complements (leading blocks of their Dh) and reduced generators.
+    // The root (level 0) never reaches this function.
     const backend::BlockArena& cp = panels[ul + 1];
-    const auto& c1 = nodes[ul + 1][static_cast<size_t>(2 * i)];
-    const auto& c2 = nodes[ul + 1][static_cast<size_t>(2 * i + 1)];
+    const backend::BlockArena& cd = dhat[ul + 1];
+    const index_t r1 = nodes[ul + 1][static_cast<size_t>(2 * i)].rank;
+    const index_t r2 = nodes[ul + 1][static_cast<size_t>(2 * i + 1)].rank;
+    const Matrix u1 = reduced_generator(cp.dev(2 * i), r1);
+    const Matrix u2 = reduced_generator(cp.dev(2 * i + 1), r2);
+    merge_siblings(cd.dev(2 * i).block(0, 0, r1, r1), u1.view(), r1,
+                   cd.dev(2 * i + 1).block(0, 0, r2, r2), u2.view(), r2,
+                   a.coupling[ul + 1].dev(2 * i), dh);
     ConstMatrixView e = a.basis[ul].dev(i);
-    if (c1.rank > 0 && r > 0)
-      la::gemm(1.0, cp.dev(2 * cn + 2 * i), la::Op::None, e.row_range(0, c1.rank), la::Op::None,
-               0.0, qr.row_range(0, c1.rank));
-    if (c2.rank > 0 && r > 0)
-      la::gemm(1.0, cp.dev(2 * cn + 2 * i + 1), la::Op::None, e.row_range(c1.rank, c2.rank),
-               la::Op::None, 0.0, qr.row_range(c1.rank, c2.rank));
+    if (r1 > 0 && r > 0)
+      la::gemm(1.0, u1.view(), la::Op::None, e.row_range(0, r1), la::Op::None, 0.0,
+               qr.row_range(0, r1));
+    if (r2 > 0 && r > 0)
+      la::gemm(1.0, u2.view(), la::Op::None, e.row_range(r1, r2), la::Op::None, 0.0,
+               qr.row_range(r1, r2));
   }
 
   // Rotate: G = Q [R; 0]; Dh = Q^T D Q; R becomes the reduced generator.
   la::householder_qr(qr, nd.tau);
-  la::apply_q_transpose(qr, nd.tau, dhat);
-  apply_q_right(qr, nd.tau, dhat);
-  MatrixView ut = pa.dev(2 * nnodes + i);
-  for (index_t jj = 0; jj < r; ++jj)
-    for (index_t ii = 0; ii <= jj && ii < r; ++ii) ut(ii, jj) = qr(ii, jj);
+  la::apply_q_transpose(qr, nd.tau, dh);
+  apply_q_right(qr, nd.tau, dh);
 }
 
 /// Largest |diagonal entry| of A, read off the device-resident leaf
@@ -153,13 +157,17 @@ UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
   // friend function, so it can populate UlvCholesky's private panels.
   auto factor_once = [&a, &ctx](real_t ridge) {
   UlvCholesky f;
-  // Pending launches hold views into f's node panels; if an attempt unwinds
-  // (an injected launch fault, or a NumericalError surfacing at a sync
-  // point) the fence drains every stream before f's panels are freed.
-  batched::StreamFence fence(ctx);
-  f.tree_ = a.tree;
   const index_t levels = a.num_levels();
   const index_t leaf = a.leaf_level();
+  // Factor-time scratch: each level's rotated diagonals Dh, whose leading
+  // r x r block (the Schur complement S) only the parent's merge reads.
+  std::vector<backend::BlockArena> dhat(static_cast<size_t>(levels));
+  // Pending launches hold views into f's node panels and the scratch above;
+  // if an attempt unwinds (an injected launch fault, or a NumericalError
+  // surfacing at a sync point) the fence drains every stream before either
+  // is freed.
+  batched::StreamFence fence(ctx);
+  f.tree_ = a.tree;
   f.nodes_.resize(static_cast<size_t>(levels));
   f.panels_ = std::vector<backend::BlockArena>(static_cast<size_t>(levels));
 
@@ -187,26 +195,25 @@ UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
     lvl.resize(static_cast<size_t>(nodes));
 
     // Host-side marshaling: sizes depend only on ranks/cluster sizes, so the
-    // level's packed panel arena can be laid out and allocated before any
-    // launch of this level runs (the kernels only ever touch it through
-    // views).
+    // level's packed panel and scratch arenas can be laid out and allocated
+    // before any launch of this level runs (the kernels only ever touch
+    // them through views).
     backend::BlockArena& pa = f.panels_[ul];
-    pa.reset(3 * nodes);
+    backend::BlockArena& da = dhat[ul];
+    pa.reset(2 * nodes);
+    da.reset(nodes);
     for (index_t i = 0; i < nodes; ++i) {
       UlvNode& nd = lvl[static_cast<size_t>(i)];
       nd.rank = a.rank(l, i);
       nd.n_loc = l == leaf ? a.tree->size(l, i)
                            : a.rank(l + 1, 2 * i) + a.rank(l + 1, 2 * i + 1);
       H2S_CHECK(nd.rank <= nd.n_loc, "ulv_factor: rank exceeds local dimension");
-      pa.set_shape(i, nd.n_loc, nd.rank);              // qr
-      pa.set_shape(nodes + i, nd.n_loc, nd.n_loc);     // dhat
-      pa.set_shape(2 * nodes + i, nd.rank, nd.rank);   // utilde
+      pa.set_shape(i, nd.n_loc, nd.rank);          // qr
+      pa.set_shape(nodes + i, nd.n_loc, nd.nz());  // elim = Dh(:, r:) = [W; Lz]
+      da.set_shape(i, nd.n_loc, nd.n_loc);         // Dh
     }
     pa.allocate(ctx.device());
-    // qr and dhat are fully written by the assemble launch; the utilde
-    // panels must start zeroed (only their upper triangles are written, and
-    // merge reads the full matrix) — one fill over the contiguous span.
-    pa.fill_zero(2 * nodes, nodes);
+    da.allocate(ctx.device());
 
     // Launch 1: assemble + QR + two-sided rotation (compress). Reads the
     // children's S/R panels, written by the previous level's launches on the
@@ -218,20 +225,24 @@ UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
           const index_t n = nodes_ptr[i].n_loc;
           return n * n * n + 1;
         },
-        [&a, &f, l, ridge, nodes_ptr](index_t i) {
-          assemble_and_rotate(a, f.nodes_, f.panels_, l, i, ridge, nodes_ptr[i]);
+        [&a, &f, &dhat, l, ridge, nodes_ptr](index_t i) {
+          assemble_and_rotate(a, f.nodes_, f.panels_, dhat, l, i, ridge, nodes_ptr[i]);
         });
 
     // Launches 2-4: eliminate the interior blocks — batched potrf on Dh_zz,
     // batched right-side trsm for W = Dh_sz Lz^{-T}, batched gemm for the
-    // Schur complement S = Dh_ss - W W^T. Same stream, FIFO.
+    // Schur complement S = Dh_ss - W W^T. Launch 5 copies the trailing
+    // columns Dh(:, r:) = [W; Lz] into the persistent elim panel, a gather
+    // with the identity row list (the backend's batched copy). Same
+    // stream, FIFO.
     std::vector<MatrixView> dzz;
-    std::vector<ConstMatrixView> lz, wc;
-    std::vector<MatrixView> dsz, dss;
+    std::vector<ConstMatrixView> lz, wc, el_src;
+    std::vector<MatrixView> dsz, dss, el_dst;
+    std::vector<std::vector<index_t>> el_rows;
     for (index_t i = 0; i < nodes; ++i) {
       UlvNode& nd = lvl[static_cast<size_t>(i)];
       const index_t r = nd.rank, z = nd.nz();
-      MatrixView dh = pa.dev(nodes + i);
+      MatrixView dh = da.dev(i);
       dzz.push_back(z > 0 ? dh.block(r, r, z, z) : MatrixView());
       lz.push_back(z > 0 ? ConstMatrixView(dh.block(r, r, z, z)) : ConstMatrixView());
       dsz.push_back(r > 0 && z > 0 ? dh.block(0, r, r, z) : MatrixView());
@@ -239,13 +250,20 @@ UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
       // S only changes when there is an interior block to eliminate; an
       // empty entry skips the (beta = 1) no-op launch body.
       dss.push_back(r > 0 && z > 0 ? dh.block(0, 0, r, r) : MatrixView());
+      el_src.push_back(z > 0 ? ConstMatrixView(dh.block(0, r, nd.n_loc, z)) : ConstMatrixView());
+      std::vector<index_t> rows(static_cast<size_t>(nd.n_loc));
+      std::iota(rows.begin(), rows.end(), index_t{0});
+      el_rows.push_back(std::move(rows));
+      el_dst.push_back(pa.dev(nodes + i));
     }
     std::vector<ConstMatrixView> wt = wc; // both gemm operands are W
-    ctx.device().potrf(ctx, stream, std::move(dzz));
-    ctx.device().trsm_lower(ctx, stream, backend::TrsmSide::Right, la::Op::Trans,
-                            std::move(lz), std::move(dsz));
-    ctx.device().gemm(ctx, stream, -1.0, std::move(wc), la::Op::None, std::move(wt),
-                      la::Op::Trans, 1.0, std::move(dss));
+    backend::DeviceBackend& dev = ctx.device();
+    dev.potrf(ctx, stream, std::move(dzz));
+    dev.trsm_lower(ctx, stream, backend::TrsmSide::Right, la::Op::Trans, std::move(lz),
+                   std::move(dsz));
+    dev.gemm(ctx, stream, -1.0, std::move(wc), la::Op::None, std::move(wt), la::Op::Trans, 1.0,
+             std::move(dss));
+    dev.gather_rows(ctx, stream, std::move(el_src), std::move(el_rows), std::move(el_dst));
   }
 
   // Root: marshal the level-1 Schur complements and reduced generators back
@@ -254,18 +272,19 @@ UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
   // pattern of GPU multilevel factorizations.
   obs::TraceSpan root_span("solver", "ulv_root");
   ctx.sync(stream);
-  const UlvNode& c1 = f.nodes_[1][0];
-  const UlvNode& c2 = f.nodes_[1][1];
-  const backend::BlockArena& p1 = f.panels_[1]; // 2 nodes: dhat at 2+i, utilde at 4+i
+  const index_t r1 = f.nodes_[1][0].rank;
+  const index_t r2 = f.nodes_[1][1].rank;
   backend::DeviceBackend& dev = ctx.device();
-  Matrix s1(c1.rank, c1.rank), u1(c1.rank, c1.rank);
-  Matrix s2(c2.rank, c2.rank), u2(c2.rank, c2.rank);
-  dev.download(p1.dev(2).block(0, 0, c1.rank, c1.rank), s1.view());
-  dev.download(p1.dev(4), u1.view());
-  dev.download(p1.dev(3).block(0, 0, c2.rank, c2.rank), s2.view());
-  dev.download(p1.dev(5), u2.view());
-  f.root_factor_.resize(c1.rank + c2.rank, c1.rank + c2.rank);
-  merge_siblings(s1.view(), u1.view(), c1.rank, s2.view(), u2.view(), c2.rank,
+  Matrix s1(r1, r1), q1(r1, r1), s2(r2, r2), q2(r2, r2);
+  dev.download(dhat[1].dev(0).block(0, 0, r1, r1), s1.view());
+  dev.download(f.panels_[1].dev(0).block(0, 0, r1, r1), q1.view());
+  dev.download(dhat[1].dev(1).block(0, 0, r2, r2), s2.view());
+  dev.download(f.panels_[1].dev(1).block(0, 0, r2, r2), q2.view());
+  dhat.clear(); // the stream is drained: the factor-time scratch is done
+  const Matrix u1 = reduced_generator(q1.view(), r1);
+  const Matrix u2 = reduced_generator(q2.view(), r2);
+  f.root_factor_.resize(r1 + r2, r1 + r2);
+  merge_siblings(s1.view(), u1.view(), r1, s2.view(), u2.view(), r2,
                  a.coupling[1].host(0).view(), f.root_factor_.view());
   la::cholesky(f.root_factor_.view());
   // Keep the factor device-resident too (uploaded once, here): solve sweeps
@@ -430,14 +449,14 @@ void UlvCholesky::solve_many(ConstMatrixView b, MatrixView x,
                    w.row_range(c1.rank, c2.rank));
           }
           ConstMatrixView qr = lvl_panels->dev(i);
-          ConstMatrixView dh = lvl_panels->dev(cnt + i);
+          ConstMatrixView el = lvl_panels->dev(cnt + i); // [W; Lz]
           la::apply_q_transpose(qr, nd.tau, w);
           const index_t r = nd.rank, z = nd.nz();
           if (z > 0) {
             MatrixView wz = w.row_range(r, z);
-            la::trsm_lower_left(dh.block(r, r, z, z), la::Op::None, wz);
+            la::trsm_lower_left(el.row_range(r, z), la::Op::None, wz);
             if (r > 0)
-              la::gemm(-1.0, dh.block(0, r, r, z), la::Op::None, wz, la::Op::None, 1.0,
+              la::gemm(-1.0, el.row_range(0, r), la::Op::None, wz, la::Op::None, 1.0,
                        w.row_range(0, r));
           }
         });
@@ -481,14 +500,14 @@ void UlvCholesky::solve_many(ConstMatrixView b, MatrixView x,
           MatrixView w = lvl_work[i];
           if (nd.n_loc == 0) return;
           ConstMatrixView qr = lvl_panels->dev(i);
-          ConstMatrixView dh = lvl_panels->dev(cnt + i);
+          ConstMatrixView el = lvl_panels->dev(cnt + i); // [W; Lz]
           const index_t r = nd.rank, z = nd.nz();
           if (z > 0) {
             MatrixView wz = w.row_range(r, z);
             if (r > 0)
-              la::gemm(-1.0, dh.block(0, r, r, z), la::Op::Trans, w.row_range(0, r),
+              la::gemm(-1.0, el.row_range(0, r), la::Op::Trans, w.row_range(0, r),
                        la::Op::None, 1.0, wz);
-            la::trsm_lower_left(dh.block(r, r, z, z), la::Op::Trans, wz);
+            la::trsm_lower_left(el.row_range(r, z), la::Op::Trans, wz);
           }
           la::apply_q(qr, nd.tau, w);
           if (l == leaf) {

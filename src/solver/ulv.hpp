@@ -25,11 +25,17 @@
 ///      G_p = [R_1 E_1; R_2 E_2], and recurse; the root system is factored
 ///      densely.
 ///
-/// The level sweep is executed as cost-annotated batches on one
-/// ExecutionContext stream (assemble+QR+transform, then the device
-/// backend's batched potrf / trsm / gemm ops); FIFO stream order replaces
-/// explicit level barriers, so independent nodes overlap while the
-/// numerics stay bitwise identical for every thread count.
+/// The factor keeps only what the solves read: per node the Householder
+/// `qr` panel (R sits in its upper triangle) and the elimination panel
+/// [W; Lz] = Dh(:, rank:), n_loc^2 values in all, plus the dense root. S
+/// and a standalone R are factor-time only: the rotated diagonals live in
+/// per-level scratch arenas that are freed once the root is merged.
+///
+/// Each level is five cost-annotated launches on one ExecutionContext
+/// stream (assemble+QR+transform, then the device backend's batched potrf,
+/// trsm and gemm, then the copy of [W; Lz] into the persistent panel); FIFO
+/// stream order replaces explicit level barriers, so independent nodes
+/// overlap while the numerics stay bitwise identical for every thread count.
 
 namespace h2sketch::solver {
 
@@ -46,12 +52,12 @@ struct UlvOptions {
   real_t ridge_growth = real_t{100};///< ridge multiplier per subsequent retry
 };
 
-/// Per-node factor metadata. The actual panels (qr, dhat, utilde) live
-/// packed in the factor's per-level device arenas (`UlvCholesky::panels_`,
-/// slot layout [qr x nodes][dhat x nodes][utilde x nodes]) — written and
-/// read only inside the factor/solve kernel launches, with the root system
-/// marshaled back to the host through explicit copies; `tau` is small
-/// per-node pivot metadata kept host-side.
+/// Per-node factor metadata. The node's panels (qr and elim = [W; Lz])
+/// live packed in the factor's per-level device arenas
+/// (`UlvCholesky::panels_`, slot layout [qr x nodes][elim x nodes]) —
+/// written and read only inside the factor/solve kernel launches, with the
+/// root system marshaled back to the host through explicit copies; `tau`
+/// is small per-node pivot metadata kept host-side.
 struct UlvNode {
   index_t n_loc = 0; ///< local dimension at elimination time
   index_t rank = 0;  ///< rows surviving to the parent (HSS rank)
@@ -83,8 +89,14 @@ class UlvCholesky {
   index_t size() const { return tree_ ? tree_->num_points() : 0; }
   const tree::ClusterTree& tree() const { return *tree_; }
 
-  /// Factor panel bytes (per-node QR/Dh/R plus the root factor).
+  /// Factor payload bytes: per-node qr and elim panels (n_loc^2 values per
+  /// node), their Householder scalars and the root factor.
   std::size_t memory_bytes() const;
+
+  /// Payload bytes of level `level`'s panel arena (qr + elim panels).
+  std::size_t panel_bytes(index_t level) const {
+    return panels_[static_cast<size_t>(level)].payload_bytes();
+  }
 
   /// Real device-resident bytes of the factor's panel arenas (alignment
   /// padding included) — what the serving cache budgets and eviction frees.
@@ -116,8 +128,8 @@ class UlvCholesky {
   /// is root_factor_).
   std::vector<std::vector<UlvNode>> nodes_;
   /// panels_[l]: one packed device arena per level holding every node's
-  /// qr / dhat / utilde panel (slots [qr x nodes][dhat x nodes]
-  /// [utilde x nodes]); level 0 stays empty.
+  /// qr panel (n_loc x rank) and elim panel [W; Lz] (n_loc x (n_loc -
+  /// rank)), slots [qr x nodes][elim x nodes]; level 0 stays empty.
   std::vector<backend::BlockArena> panels_;
   /// Single-slot arena: the dense root factor resident on the panels'
   /// device, uploaded once at factor time so solves never round-trip the

@@ -8,6 +8,7 @@
 #include "backend/registry.hpp"
 #include "backend/sim_device.hpp"
 #include "batched/device.hpp"
+#include "common/errors.hpp"
 #include "core/construction.hpp"
 #include "h2/h2_dense.hpp"
 #include "h2/h2_matvec.hpp"
@@ -349,6 +350,56 @@ TEST(BackendParity, UlvFactorAndSolveAreBitwiseIdentical) {
   EXPECT_EQ(launches_cpu, launches_sim);
   ASSERT_EQ(x_cpu.size(), x_sim.size());
   for (size_t i = 0; i < x_cpu.size(); ++i) EXPECT_EQ(x_cpu[i], x_sim[i]) << "entry " << i;
+}
+
+TEST(UlvLayout, FactorHoldsOnlyTheSolvePanelsAndFreesItsScratch) {
+  // Per node the factor keeps the qr panel (n_loc x rank) and the
+  // elimination panel [W; Lz] (n_loc x (n_loc - rank)): n_loc^2 values.
+  // The rotated diagonals (and the Schur complements in them) are
+  // factor-time scratch and must be freed on return, and after a failed
+  // ridge-ladder attempt.
+  auto tr = test_util::build_cube_tree(96, 2, 23, 16);
+  const kern::ExponentialKernel base(0.3);
+  core::ConstructionOptions opts;
+  opts.tol = 1e-8;
+  opts.sample_block = 16;
+  opts.initial_samples = 32;
+  auto sim = small_sim();
+  batched::ExecutionContext ctx(ExecutionConfig{sim, LaunchMode::Batched});
+  auto build = [&](const kern::KernelFunction& k) {
+    const Matrix kd = dense_kernel_matrix(*tr, k);
+    kern::DenseMatrixSampler sampler(kd.view());
+    kern::KernelEntryGenerator gen(*tr, k);
+    return solver::build_hss(tr, sampler, gen, opts, ctx);
+  };
+
+  const kern::RidgeKernel spd(base, 1.0);
+  auto res = build(spd);
+  auto live = sim->stats().live_bytes;
+  auto f = solver::ulv_factor(res.matrix, ctx);
+  EXPECT_EQ(sim->stats().live_bytes, live + f.device_bytes());
+  for (index_t l = 1; l < tr->num_levels(); ++l) {
+    std::size_t expect = 0;
+    for (index_t i = 0; i < tr->nodes_at(l); ++i) {
+      const auto n = static_cast<std::size_t>(f.node(l, i).n_loc);
+      expect += n * n * sizeof(real_t);
+    }
+    EXPECT_EQ(f.panel_bytes(l), expect) << "level " << l;
+  }
+
+  // K - 0.5 I is indefinite: the default ladder fails every attempt, and a
+  // ladder reaching past |lambda_min| succeeds after one failed attempt.
+  const kern::RidgeKernel indefinite(base, -0.5);
+  auto bad = build(indefinite);
+  live = sim->stats().live_bytes;
+  EXPECT_THROW((void)solver::ulv_factor(bad.matrix, ctx), NumericalError);
+  EXPECT_EQ(sim->stats().live_bytes, live);
+  solver::UlvOptions uo;
+  uo.max_ridge_retries = 1;
+  uo.ridge_rel = 4.0;
+  auto rescued = solver::ulv_factor(bad.matrix, ctx, uo);
+  EXPECT_GT(rescued.ridge_applied(), 0.0);
+  EXPECT_EQ(sim->stats().live_bytes, live + rescued.device_bytes());
 }
 
 TEST(BackendParity, ConvenienceSolveFollowsTheFactorsDevice) {
